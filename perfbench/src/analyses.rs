@@ -96,31 +96,26 @@ pub fn run(ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
 
     let sod = inp.gated.constraints.sod_pairs.clone();
     let mut spans = Spans::new(plan.trace);
-    let (mut reach_ms, mut lint_ms, mut refine_ms) = (Vec::new(), Vec::new(), Vec::new());
-    let mut deadline = Instant::now() + Duration::from_secs_f64(plan.warmup());
-    let mut warming = true;
-    // The warm-up passes are checked but not timed; then at least three
-    // timed passes.
-    while warming || reach_ms.len() < 3 || Instant::now() < deadline {
-        if warming && Instant::now() >= deadline {
-            warming = false;
-            deadline = Instant::now() + Duration::from_secs_f64(plan.seconds);
-            reach_ms.clear();
-            lint_ms.clear();
-            refine_ms.clear();
-        }
+    // One checked pass; returns its reach, lint and refinement times in
+    // ms. Spans are recorded only in traced phases.
+    let mut pass = |traced: bool, out: &mut Outcome| -> [f64; 3] {
+        let mut span = |name: &'static str, op, s, e| {
+            if traced {
+                spans.record("service", name, op, 0, s, e);
+            }
+        };
         let op = new_op();
         let t0 = Instant::now();
         for (q, s) in inp.queries.iter().zip(&svc.reach) {
             let t = Instant::now();
             let answer = s.analyze_reach(q.entity, q.perm, cli_config());
-            spans.record("service", q.name, op, 0, t, Instant::now());
+            span(q.name, op, t, Instant::now());
             out.check(answer.is_ok_and(|a| verdict_ok(q, &a)));
         }
         let t1 = Instant::now();
         let lint = svc.gated.lint(sod.clone());
         let t2 = Instant::now();
-        spans.record("service", "lint", op, 0, t1, t2);
+        span("lint", op, t1, t2);
         out.check(lint.is_ok_and(|r| {
             r.findings
                 .iter()
@@ -141,19 +136,46 @@ pub fn run(ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
         );
         out.check(widens.is_ok_and(|r| !r.holds && r.total_violations == inp.widening_violations));
         let t3 = Instant::now();
-        spans.record("service", "check_refinement x2", op, 0, t2, t3);
-        reach_ms.push((t1 - t0).as_secs_f64() * 1e3);
-        lint_ms.push((t2 - t1).as_secs_f64() * 1e3);
-        refine_ms.push((t3 - t2).as_secs_f64() * 1e3);
+        span("check_refinement x2", op, t2, t3);
+        [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_secs_f64() * 1e3)
+    };
+    // The warm-up passes are checked but not timed.
+    let warm_until = Instant::now() + Duration::from_secs_f64(plan.warmup());
+    while Instant::now() < warm_until {
+        pass(false, &mut out);
     }
     // The passes are deterministic and single-threaded: the fastest one
     // is the cost without interference from other tenants, which slow
-    // a varying share of passes by up to 1.5x (the median moved that
-    // much between runs; the fastest pass moved 3%).
+    // a varying share of passes by up to 1.5x.
     let fastest = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-    out.e2e.insert("reach_pass_ms", fastest(&reach_ms));
-    out.e2e.insert("lint_ms", fastest(&lint_ms));
-    out.e2e.insert("refine_ms", fastest(&refine_ms));
+    let mut results = Vec::new();
+    let (mut reach_ms, mut lint_ms, mut refine_ms) = (Vec::new(), Vec::new(), Vec::new());
+    for (traced, secs) in plan.phases() {
+        reach_ms.clear();
+        lint_ms.clear();
+        refine_ms.clear();
+        let until = Instant::now() + Duration::from_secs_f64(secs);
+        // At least three timed passes per phase.
+        while reach_ms.len() < 3 || Instant::now() < until {
+            let [reach, lint, refine] = pass(traced, &mut out);
+            reach_ms.push(reach);
+            lint_ms.push(lint);
+            refine_ms.push(refine);
+        }
+        let mut v = crate::metrics::Values::new();
+        v.insert("reach_pass_ms", fastest(&reach_ms));
+        v.insert("lint_ms", fastest(&lint_ms));
+        v.insert("refine_ms", fastest(&refine_ms));
+        results.push((traced, v));
+    }
+    if let [(false, untraced), (true, traced)] = &results[..] {
+        for (k, v) in traced {
+            out.overhead.insert(k, v - untraced[k]);
+        }
+    }
+    for (k, v) in &results.last().expect("one phase").1 {
+        out.e2e.insert(k, *v);
+    }
     out.e2e.insert("peak_rss_mb", peak_rss_mb());
     out.notes.push(format!(
         "{} passes; median pass: reach {:.4} ms, lint {:.4} ms, refine {:.4} ms",

@@ -15,7 +15,7 @@ use adminref_service::{MonitorService, PolicyService};
 use crate::inputs::{self, EmbeddedInputs, Size};
 use crate::metrics::Outcome;
 use crate::stack;
-use crate::stats::{median, peak_rss_mb, per_call_ns, Lat, Windows, FINE};
+use crate::stats::{mean, median, peak_rss_mb, per_call_ns, Lat, Windows, FINE, POOLED};
 use crate::trace::{new_op, Spans};
 use crate::{Ctx, Plan};
 
@@ -91,7 +91,7 @@ fn phase(
         });
         let writer = scope.spawn(|| {
             let mut spans = Spans::new(traced);
-            let mut win = Windows::new(start, secs, FINE);
+            let mut win = Windows::new(start, secs, POOLED);
             let mut lateness = Lat::default();
             let (mut batches, mut cmds, mut failed) = (0u64, 0u64, 0u64);
             let mut b = *batch_at;
@@ -153,11 +153,8 @@ fn phase_metrics(p: &mut Phase) -> crate::metrics::Values {
     v.insert("reads_per_s", p.read.rate());
     v.insert("read_p50_us", p.read.us(0.5));
     v.insert("read_p99_us", p.read.us(0.99));
-    // The open loop fixes the rate per window; the whole phase's rate
-    // shows how far the writer fell behind.
-    v.insert("commits_per_s", p.cmds as f64 / p.elapsed);
-    v.insert("commit_p50_us", p.commit.us(0.5));
-    v.insert("commit_p99_us", p.commit.us(0.99));
+    v.insert("open_loop_commit_p50_us", p.commit.us(0.5));
+    v.insert("open_loop_commit_p99_us", p.commit.us(0.99));
     v
 }
 
@@ -177,6 +174,12 @@ pub fn repeat_share(probes: &[u32], per_epoch: usize, total: usize) -> f64 {
         }
     }
     repeats as f64 / n as f64
+}
+
+/// Does `batch` carry an RH edge (and so a whole-hierarchy re-derivation
+/// when published)?
+pub fn has_rh(batch: &[Command]) -> bool {
+    batch.iter().any(|c| matches!(c.edge, Edge::RoleRole(..)))
 }
 
 fn severs(batch: &[Command]) -> bool {
@@ -251,11 +254,14 @@ pub fn run(ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
         out.attempted += p.attempted;
         out.failed += p.failed;
         let values = phase_metrics(&mut p);
+        // The open loop fixes the rate; a lower one shows the writer fell
+        // behind.
         out.notes.push(format!(
-            "{} phase: {} reads, {} batches, writer lateness p50 {:.1} us p99 {:.1} us",
+            "{} phase: {} reads, {} batches, writer {:.1} cmds/s, lateness p50 {:.1} us p99 {:.1} us",
             if traced { "traced" } else { "untraced" },
             p.reads,
             p.batches,
+            p.cmds as f64 / p.elapsed,
             p.lateness.us(0.5),
             p.lateness.us(0.99)
         ));
@@ -298,6 +304,16 @@ pub fn run(ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
             "{:.3} ({} of {} batches revoke UA/RH edges and trigger the session sweep)",
             severing as f64 / inp.batches.len() as f64,
             severing,
+            inp.batches.len()
+        ),
+    );
+    let rh = inp.batches.iter().filter(|b| has_rh(b)).count();
+    out.prop(
+        "rh_batch_share",
+        format!(
+            "{:.3} ({} of {} batches toggle RH edges below roles no session reaches)",
+            rh as f64 / inp.batches.len() as f64,
+            rh,
             inp.batches.len()
         ),
     );
@@ -358,10 +374,11 @@ fn layers(
     out.layers
         .insert("monitor.session_pin_ns", monitor_ns - probe_ns);
 
-    // Delta derivation over the writer's next batches, off the live path.
+    // Delta derivation over the writer's next 16 batches (2 of them RH),
+    // off the live path.
     let (mut universe, mut policy) = snapshot.clone_state();
     let mut parent = (*snapshot).clone();
-    let mut next_us = Vec::new();
+    let (mut next_us, mut rh_us) = (Vec::new(), Vec::new());
     for k in 0..16 {
         let batch = &inp.batches[(batch_at + k) % inp.batches.len()];
         let outcomes: Vec<StepOutcome> = batch
@@ -382,10 +399,16 @@ fn layers(
         );
         let end = Instant::now();
         spans.record("core::snapshot", "next", op, 0, t, end);
-        next_us.push((end - t).as_secs_f64() * 1e6);
+        let us = (end - t).as_secs_f64() * 1e6;
+        next_us.push(us);
+        if has_rh(batch) {
+            rh_us.push(us);
+        }
         parent = child;
     }
-    out.layers.insert("core.snapshot_next_us", median(&next_us));
+    out.layers.insert("core.snapshot_next_us", mean(&next_us));
+    out.layers
+        .insert("core.snapshot_next_rh_us", median(&rh_us));
 
     // Monitor commit on the durable store (no group commit in front).
     let mut commit_us = Vec::new();
@@ -414,9 +437,13 @@ fn layers(
         out.check(m.activate_role(id, s.role).is_ok());
         live.push(id);
     }
-    // Grants of edges absent at the start (non-severing), each followed
-    // by the revocation of the same edges (severing).
-    let absent = &read.toggles[..read.toggles.len() / 2];
+    // Grants of UA edges absent at the start (non-severing), each
+    // followed by the revocation of the same edges (severing).
+    let absent: Vec<Edge> = read.toggles[..read.toggles.len() / 2]
+        .iter()
+        .copied()
+        .filter(|e| matches!(e, Edge::UserRole(..)))
+        .collect();
     let pairs: Vec<(Vec<Command>, Vec<Command>)> = absent
         .chunks(8)
         .take(16)

@@ -11,11 +11,11 @@ use adminref_core::snapshot::{batch_deltas, PolicySnapshot, PublishMode};
 use adminref_core::transition::{step, AuthMode, StepOutcome};
 use adminref_service::{Request, Response, ServiceError};
 
-use crate::embedded::batch_ok;
+use crate::embedded::{batch_ok, has_rh};
 use crate::inputs::{self, GatedInputs, Size};
 use crate::metrics::{Outcome, Values};
 use crate::stack::{self, Conn, Deployment};
-use crate::stats::{median, peak_rss_mb, Lat, Windows, COARSE};
+use crate::stats::{mean, median, peak_rss_mb, Lat, Windows, POOLED};
 use crate::trace::{new_op, Span, Spans};
 use crate::wire_mixed::{check_convergence, expected_checksum};
 use crate::{Ctx, Plan};
@@ -41,8 +41,8 @@ fn phase(conn: &mut Conn, inp: &GatedInputs, secs: f64, traced: bool, pos: &mut 
         planted: 0,
         committed: 0,
         elapsed: 0.0,
-        preview: Windows::new(start, secs, COARSE),
-        commit: Windows::new(start, secs, COARSE),
+        preview: Windows::new(start, secs, POOLED),
+        commit: Windows::new(start, secs, POOLED),
         refusal_lat: Lat::default(),
         attempted: 0,
         failed: 0,
@@ -148,8 +148,6 @@ pub fn run(ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
     for (traced, secs) in plan.phases() {
         let mut p = phase(&mut live.admin, &inp, secs, traced, &mut pos);
         let mut v = Values::new();
-        // About ten batches land in a window and one in eight carries 8
-        // commands, so per-window counts are lumpy: use the phase rate.
         v.insert("commits_per_s", p.committed as f64 / p.elapsed);
         v.insert("commit_p50_us", p.commit.us(0.5));
         v.insert("commit_p99_us", p.commit.us(0.99));
@@ -329,8 +327,12 @@ fn layers(
     let snapshot = monitor.read_snapshot();
     let (mut u, mut p) = snapshot.clone_state();
     let mut parent = (*snapshot).clone();
-    let mut next_us = Vec::new();
-    for k in 0..32 {
+    let (mut next_us, mut rh_us) = (Vec::new(), Vec::new());
+    // The next 32 schedule slots, extended until one RH batch is timed.
+    for k in 0..inp.batches.len() {
+        if k >= 32 && !rh_us.is_empty() {
+            break;
+        }
         let batch = &inp.batches[(pos + k) % inp.batches.len()];
         if batch.planted {
             continue;
@@ -353,8 +355,14 @@ fn layers(
         );
         let end = Instant::now();
         spans.record("core::snapshot", "next", new_op(), 0, t, end);
-        next_us.push((end - t).as_secs_f64() * 1e6);
+        let us = (end - t).as_secs_f64() * 1e6;
+        next_us.push(us);
+        if has_rh(&batch.commands) {
+            rh_us.push(us);
+        }
         parent = child;
     }
-    out.layers.insert("core.snapshot_next_us", median(&next_us));
+    out.layers.insert("core.snapshot_next_us", mean(&next_us));
+    out.layers
+        .insert("core.snapshot_next_rh_us", median(&rh_us));
 }

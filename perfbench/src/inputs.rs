@@ -21,12 +21,10 @@ use adminref_workloads::{
 use crate::rng::{Rng, Zipf};
 
 /// How large a workload's inputs are. `Full` is what `BENCHMARK.json`
-/// names; `Companion` is the reduced pass that fills metrics a workload
-/// does not own; `Tiny` is for the smoke tests.
+/// names; `Tiny` is for the smoke tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Size {
     Full,
-    Companion,
     Tiny,
 }
 
@@ -236,20 +234,25 @@ pub struct EmbeddedInputs {
     pub batch_rate: f64,
 }
 
+/// Toggles per writer batch, and the writer's UA and RH toggle edges.
+pub const EMBEDDED_BATCH: usize = 8;
+const EMBEDDED_UA: usize = 3584;
+const EMBEDDED_RH: usize = 512;
+/// One chunk in `RH_EVERY` of each half of the toggle list is RH.
+const RH_EVERY: usize = 8;
+
 pub fn embedded(seed: u64, size: Size) -> EmbeddedInputs {
     let (roles, sessions, probes) = match size {
         Size::Full => (8192, 4096, 1 << 21),
-        Size::Companion => (1024, 512, 1 << 18),
         Size::Tiny => (64, 32, 1 << 12),
     };
-    // 4092 UA and 4 RH toggles: the RH ones land together in one batch
-    // of each half-period, 2 in 1024 batches (one every ~5 s). An RH
-    // delta makes the publish re-derive role adjacency over the whole
-    // hierarchy: 10-30 ms at 8192 roles, swinging with host contention.
-    // At 2 in 16 batches those publishes set `commit_p99_us` and its
-    // spread between runs was 0.5; this rare, they stay above p99 and
-    // the tail is the UA publish with its revalidation sweep.
-    let mut read = read_policy(roles, sessions, 4092, 4, seed);
+    // 3584 UA and 512 RH toggles, ordered so that 2 of every 16 batches
+    // carry only RH edges (see `interleave_rh`). An RH delta makes the
+    // publish re-derive role adjacency over the whole hierarchy, 10-30
+    // ms at 8192 roles against about 1 ms for a UA-only batch: a known
+    // cost this workload keeps in view.
+    let mut read = read_policy(roles, sessions, EMBEDDED_UA, EMBEDDED_RH, seed);
+    read.toggles = interleave_rh(&read.toggles, EMBEDDED_RH, EMBEDDED_BATCH / 2);
     let zipf = Zipf::new(read.slots(), 1.0);
     let mut rank_to_slot: Vec<u32> = (0..read.slots() as u32).collect();
     let mut rng = Rng::fork(seed, 2);
@@ -257,7 +260,7 @@ pub fn embedded(seed: u64, size: Size) -> EmbeddedInputs {
     let probes = (0..probes)
         .map(|_| rank_to_slot[zipf.sample(&mut rng)])
         .collect();
-    let batches = swap_period(&mut read, 8);
+    let batches = swap_period(&mut read, EMBEDDED_BATCH);
     EmbeddedInputs {
         read,
         probes,
@@ -266,12 +269,36 @@ pub fn embedded(seed: u64, size: Size) -> EmbeddedInputs {
     }
 }
 
+/// Reorders `toggles` (UA edges, then the last `rh` RH edges) into
+/// chunks of `step`, every `RH_EVERY`-th chunk RH and the rest UA. Each
+/// half then holds the same pattern, so `swap_period`'s batch `k`
+/// grants and revokes RH edges exactly when `k % RH_EVERY == 0`: 2 of
+/// every 16 batches.
+fn interleave_rh(toggles: &[Edge], rh: usize, step: usize) -> Vec<Edge> {
+    let chunks = toggles.len() / step;
+    assert!(
+        toggles.len() == chunks * step && rh * RH_EVERY == toggles.len(),
+        "RH edges fill every {RH_EVERY}th chunk"
+    );
+    let (ua, rh) = toggles.split_at(toggles.len() - rh);
+    let (mut ua, mut rh) = (ua.chunks(step), rh.chunks(step));
+    (0..chunks)
+        .flat_map(|c| {
+            let chunk = if c % RH_EVERY == 0 {
+                rh.next()
+            } else {
+                ua.next()
+            };
+            chunk.expect("counts checked above").iter().copied()
+        })
+        .collect()
+}
+
 /// Makes the second half of `read`'s toggles present in its policy and
 /// returns one period of batches that each grant `per_batch / 2` absent
 /// edges and revoke as many present ones. Every batch therefore both
-/// adds and severs (one commit cost, so `commit_p50_us` never sits
-/// between two modes), and after the period every edge is back where
-/// it started.
+/// adds and severs (so all UA-only batches share one commit cost), and
+/// after the period every edge is back where it started.
 fn swap_period(read: &mut ReadPolicy, per_batch: usize) -> Vec<Vec<Command>> {
     let half = read.toggles.len() / 2;
     let step = per_batch / 2;
@@ -323,7 +350,6 @@ pub const WIRE_CLIENTS: usize = 16;
 pub fn wire(seed: u64, size: Size) -> WireInputs {
     let (roles, sessions, ops) = match size {
         Size::Full => (1024, 1024, 4096),
-        Size::Companion => (256, 256, 2048),
         Size::Tiny => (64, 32, 256),
     };
     let read = read_policy(roles, sessions, WIRE_CLIENTS, 0, seed ^ 0x31);
@@ -396,7 +422,6 @@ const GATED_BLOCK: usize = 16;
 pub fn gated(seed: u64, size: Size) -> GatedInputs {
     let (roles, users) = match size {
         Size::Full => (2048, 256),
-        Size::Companion => (512, 64),
         // The trickle generator probes a fixed pattern of cross-layer
         // pairs for its RH toggles; 256 roles is comfortably enough.
         Size::Tiny => (256, 16),
@@ -702,6 +727,17 @@ mod tests {
             assert!(s.expect[..half].iter().all(|&x| x));
             assert!(s.expect[half..].iter().all(|&x| !x));
         }
+        let rh = e
+            .batches
+            .iter()
+            .filter(|b| b.iter().all(|c| matches!(c.edge, Edge::RoleRole(..))))
+            .count();
+        assert_eq!(
+            rh * RH_EVERY,
+            e.batches.len(),
+            "2 in 16 batches are RH-only"
+        );
+        assert!(e.batches.iter().all(|b| b.len() == EMBEDDED_BATCH));
         let g = gated(3, Size::Tiny);
         assert_eq!(g.batches.iter().filter(|b| b.planted).count(), 16);
         assert!(g.expected_sod_findings >= 1, "the planted grant co-holds");

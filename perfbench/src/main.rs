@@ -1,7 +1,7 @@
 //! `perfbench`: the repository benchmark.
 //!
 //! ```text
-//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--size full|tiny]
+//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Runs one named workload against the real serving stack, checks every
@@ -76,12 +76,11 @@ impl Plan {
 }
 
 /// The workloads, also the order companions run and fill metrics in:
-/// in-process reads and commits (steadier on a shared host than served
-/// ones) come from `embedded_reads` first.
-pub const WORKLOADS: &[&str] = &["embedded_reads", "wire_mixed", "gated_admin", "analyses"];
+/// `gated_admin`'s one-at-a-time commits kept `commit_p50_us` steadier
+/// between runs than `wire_mixed`'s pipelined ones, so a run that owns
+/// no commit takes it from `gated_admin`.
+pub const WORKLOADS: &[&str] = &["embedded_reads", "gated_admin", "wire_mixed", "analyses"];
 
-/// Seconds each companion pass measures (see `run`).
-const COMPANION_SECONDS: f64 = 6.0;
 /// Set-ups per main pass.
 const SETUPS: usize = 3;
 
@@ -95,9 +94,9 @@ fn run_pass(name: &str, ctx: &Ctx, size: Size, plan: Plan) -> Outcome {
     }
 }
 
-/// Runs `workload` as the main pass, then every other workload as a
-/// short companion pass at reduced size. Each run must report every
-/// metric, and a workload owns only some of them (reads, commits,
+/// Runs `workload` as the main pass, then other workloads as companion
+/// passes of the same size and length. Each run must report every
+/// gated metric, and a workload owns only some of them (commits,
 /// previews, analyses); companion values fill the rest, so a metric
 /// outside a workload's own bracket regresses only when the owning
 /// path does. Companions run after the main pass is measured.
@@ -113,24 +112,22 @@ pub fn run(workload: &str, ctx: &Ctx, size: Size, seconds: f64, trace: bool) -> 
             setups: SETUPS,
         },
     );
-    let companion_size = if size == Size::Tiny {
-        Size::Tiny
-    } else {
-        Size::Companion
-    };
-    // Untraced runs only run companions that own a metric still missing;
-    // traced runs need every companion's per-layer metrics.
+    // Untraced runs only run companions that own a gated metric still
+    // missing (ungated ones are printed by their owners' runs); traced
+    // runs need every companion's per-layer metrics.
     for &other in WORKLOADS.iter().filter(|&&w| w != workload) {
-        let needed = owned(other).iter().any(|name| !out.e2e.contains_key(name));
+        let needed = owned(other)
+            .iter()
+            .any(|name| E2E.iter().any(|(n, _)| n == name) && !out.e2e.contains_key(name));
         if !needed && !trace {
             continue;
         }
         let companion = run_pass(
             other,
             ctx,
-            companion_size,
+            size,
             Plan {
-                seconds: COMPANION_SECONDS.min(seconds),
+                seconds,
                 trace,
                 overhead: false,
                 setups: 1,
@@ -148,7 +145,6 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    size: Size,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -183,17 +179,11 @@ fn parse_args() -> Result<Args, String> {
         "1" => true,
         other => return Err(format!("--trace must be 0 or 1, not {other:?}")),
     };
-    let size = match value("--size").unwrap_or("full") {
-        "full" => Size::Full,
-        "tiny" => Size::Tiny,
-        other => return Err(format!("--size must be full or tiny, not {other:?}")),
-    };
     Ok(Args {
         workload,
         seed,
         seconds,
         trace,
-        size,
     })
 }
 
@@ -270,7 +260,7 @@ fn main() -> ExitCode {
     );
     println!("{header}");
 
-    let out = run(&args.workload, &ctx, args.size, args.seconds, args.trace);
+    let out = run(&args.workload, &ctx, Size::Full, args.seconds, args.trace);
     let _ = std::fs::remove_dir_all(&ctx.dir);
 
     for (k, v) in &out.props {
@@ -388,7 +378,7 @@ mod tests {
         for (name, _) in LAYERS {
             assert!(out.layers.contains_key(name), "no layer metric {name}");
         }
-        for (name, _) in E2E {
+        for (name, _) in E2E.iter().chain(metrics::UNGATED) {
             if *name != "ok_ratio" {
                 assert!(out.e2e.contains_key(name), "no end-to-end metric {name}");
             }

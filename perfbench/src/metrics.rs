@@ -8,24 +8,29 @@ use crate::trace::Span;
 /// An end-to-end metric: what a user of the policy service sees.
 pub const E2E: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("reads_per_s", "1/s"),
-    ("read_p50_us", "us"),
-    ("replica_read_p50_us", "us"),
-    ("commits_per_s", "1/s"),
     ("commit_p50_us", "us"),
-    ("preview_p50_us", "us"),
-    ("reach_pass_ms", "ms"),
-    ("lint_ms", "ms"),
-    ("refine_ms", "ms"),
     ("peak_rss_mb", "MiB"),
     ("ok_ratio", "ratio"),
 ];
 
-/// End-to-end tail latencies every run prints but `BENCHMARK.json`
-/// does not gate: their spread between runs on a shared 2-vCPU host
-/// (0.2-0.8 of the median under every summary tried) is above the
-/// largest bound `BENCHMARK.json` allows (0.25).
-pub const UNGATED: &[(&str, &str)] = &[("read_p99_us", "us"), ("commit_p99_us", "us")];
+/// End-to-end metrics every run prints but `BENCHMARK.json` does not
+/// gate: their spread between runs on a shared 2-vCPU host (interquartile
+/// range over median, ten seeds) went above the largest bound
+/// `BENCHMARK.json` allows (0.25) in some workload's set. See the README.
+pub const UNGATED: &[(&str, &str)] = &[
+    ("commits_per_s", "1/s"),
+    ("preview_p50_us", "us"),
+    ("reads_per_s", "1/s"),
+    ("read_p50_us", "us"),
+    ("read_p99_us", "us"),
+    ("replica_read_p50_us", "us"),
+    ("commit_p99_us", "us"),
+    ("open_loop_commit_p50_us", "us"),
+    ("open_loop_commit_p99_us", "us"),
+    ("reach_pass_ms", "ms"),
+    ("lint_ms", "ms"),
+    ("refine_ms", "ms"),
+];
 
 /// A per-layer metric, measured from outside the program by timing the
 /// layer's public entry points on the workload's own inputs.
@@ -51,6 +56,7 @@ pub const LAYERS: &[(&str, &str)] = &[
     ("store.compactions", "count"),
     ("core.authorize_ns", "ns"),
     ("core.snapshot_next_us", "us"),
+    ("core.snapshot_next_rh_us", "us"),
     ("core.reach_probe_ns", "ns"),
     ("core.interval_us", "us"),
     ("core.admit_us", "us"),
@@ -76,9 +82,8 @@ pub const OWNED: &[(&str, &[&str])] = &[
             "reads_per_s",
             "read_p50_us",
             "read_p99_us",
-            "commits_per_s",
-            "commit_p50_us",
-            "commit_p99_us",
+            "open_loop_commit_p50_us",
+            "open_loop_commit_p99_us",
             "peak_rss_mb",
         ],
     ),

@@ -61,11 +61,12 @@ pub fn band_quantile(sorted: &[u64], q: f64) -> f64 {
     band.iter().map(|&v| v as f64).sum::<f64>() / band.len() as f64
 }
 
-/// Samples split into equal time windows over a measured phase. Every
-/// reported rate and percentile is the median over windows of the
-/// per-window value, so windows hit by a neighbour's burst or a
-/// compaction stall do not move the run's figure. Events after the
-/// phase's nominal end (the drain) are not counted.
+/// Samples split into equal time windows over a measured phase. A
+/// reported percentile is the median over windows of the per-window
+/// percentile, so a window hit by a neighbour's burst moves it no more
+/// than any other window; a reported rate is every completion over the
+/// whole phase, so stalls count in full. Events after the phase's
+/// nominal end (the drain) are not counted.
 pub struct Windows {
     start: Instant,
     width: Duration,
@@ -79,10 +80,10 @@ pub struct Windows {
 
 /// Windows per measured phase: many short ones where samples are
 /// plentiful, so a stall (a log compaction, a neighbour's burst) lands
-/// in few of them; few long ones where a phase holds only hundreds of
-/// samples, so each window still has a tail.
+/// in few of them; one where a phase holds only hundreds of samples, so
+/// its percentiles are taken over all of them.
 pub const FINE: usize = 50;
-pub const COARSE: usize = 10;
+pub const POOLED: usize = 1;
 
 /// Samples kept per window. When a window fills, every other kept
 /// sample is dropped and the stride doubles, so memory stays fixed
@@ -130,9 +131,9 @@ impl Windows {
         }
     }
 
-    /// Median per-window completion rate, per second.
+    /// Completions per second over the whole phase.
     pub fn rate(&self) -> f64 {
-        median(&self.rates())
+        self.count.iter().sum::<u64>() as f64 / (self.width.as_secs_f64() * self.count.len() as f64)
     }
 
     /// Completion rate of each window, per second.
@@ -153,6 +154,11 @@ impl Windows {
             .collect();
         median(&per)
     }
+}
+
+/// Mean of floats.
+pub fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Median of floats (the mean of the middle pair for even counts).
