@@ -14,19 +14,29 @@
 //!    `Φ⁻ ⊆ edges(φ) ⊆ Φ⁺` — the *interval invariant* (proptested
 //!    differentially against the BFS engine in `tests/admission_gate.rs`).
 //!
-//! 2. **Impact analysis** ([`analyze_batch`]). A candidate batch is
-//!    simulated on a scratch clone and the parent state is diffed against
-//!    the candidate: which permission verdicts flip, whether the
-//!    grow-only (monotone saturation) classification changes, and which
-//!    edges change interval status. The monitor layers session
-//!    force-deactivation on top (it owns the session table).
+//! 2. **Staging** ([`StagedBatch`]). A batch executes exactly once, on
+//!    copy-on-write clones of a parent [`PolicySnapshot`], and its
+//!    child snapshot is derived by [`PolicySnapshot::next`]. The gate,
+//!    the store and the readers all take that one candidate: stage →
+//!    gate → log → publish.
 //!
-//! 3. **Admission gate** ([`admit_batch`]). A durable [`ConstraintSet`]
-//!    (separation-of-duty pairs, a lint deny level, frozen-edge
-//!    assertions) is evaluated *statically against the candidate state*;
-//!    a non-empty findings list refuses the batch before anything is
-//!    logged, audited or published, so readers and replicas only ever
-//!    observe constraint-clean epochs.
+//! 3. **Impact analysis** ([`StagedBatch::impact`]). The parent is
+//!    diffed against the child: which permission verdicts flip (read
+//!    off the two prebuilt indexes), whether the grow-only (monotone
+//!    saturation) classification changes, and which edges change
+//!    interval status. The monitor adds the sessions a publish would
+//!    force-deactivate (it owns the session table).
+//!
+//! 4. **Admission gate** ([`StagedBatch::admit`]). A durable
+//!    [`ConstraintSet`] (separation-of-duty pairs, a lint deny level,
+//!    frozen-edge assertions) is evaluated *statically against the
+//!    child*; findings refuse the batch before anything is logged,
+//!    audited or published, so readers and replicas only ever observe
+//!    constraint-clean epochs.
+//!
+//! The bare-state [`admit_batch`], [`analyze_batch`] and
+//! [`evaluate_constraints`] run the same checks over from-scratch
+//! indexes: the differential reference for the staged path.
 //!
 //! ## Why `Φ⁻` is sound
 //!
@@ -46,8 +56,8 @@ use crate::ids::{Entity, PrivId, RoleId, UserId};
 use crate::lint::{lint_policy, Confirmation, Finding, FindingKind, LintConfig, Potential};
 use crate::ordering::PrivilegeOrder;
 use crate::policy::Policy;
-use crate::reach::{EdgeDelta, ReachIndex};
-use crate::snapshot::batch_deltas;
+use crate::reach::EdgeDelta;
+use crate::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
 use crate::transition::{step, AuthMode, StepOutcome};
 use crate::universe::{Edge, PrivTerm, Universe};
 
@@ -197,16 +207,10 @@ impl ConstraintSet {
 
     /// Do all referenced ids fit inside `universe`?
     pub fn ids_in_bounds(&self, universe: &Universe) -> bool {
-        let role_ok = |r: RoleId| r.index() < universe.role_count();
-        let edge_ok = |e: Edge| match e {
-            Edge::UserRole(u, r) => u.index() < universe.user_count() && role_ok(r),
-            Edge::RoleRole(a, b) => role_ok(a) && role_ok(b),
-            Edge::RolePriv(r, p) => role_ok(r) && p.index() < universe.term_count(),
-        };
-        self.sod_pairs
-            .iter()
-            .all(|&(a, b)| role_ok(a) && role_ok(b))
-            && self.frozen_edges.iter().all(|&e| edge_ok(e))
+        let pairs = self.sod_pairs.iter().map(|&(a, b)| Edge::RoleRole(a, b));
+        pairs
+            .chain(self.frozen_edges.iter().copied())
+            .all(|e| universe.edge_in_bounds(e))
     }
 
     /// Declared constraints, for reporting.
@@ -266,7 +270,7 @@ pub struct StatusChange {
 }
 
 /// The blast radius of a candidate batch, computed before commit.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ImpactReport {
     /// Per-command outcomes of the simulated batch.
     pub outcomes: Vec<StepOutcome>,
@@ -297,9 +301,10 @@ impl ImpactReport {
     }
 }
 
-/// Simulates `commands` on scratch clones of `(universe, policy)` and
-/// returns the candidate state with per-command outcomes. Nothing is
-/// mutated; this is the pre-image every gate decision is made against.
+/// Simulates `commands` on clones of `(universe, policy)` and returns
+/// the candidate state with per-command outcomes. Both clones are
+/// copy-on-write, so this copies only the tables and relations the
+/// batch touches; the originals are never mutated.
 pub fn simulate_batch(
     universe: &Universe,
     policy: &Policy,
@@ -315,8 +320,136 @@ pub fn simulate_batch(
     (cand_universe, cand_policy, outcomes)
 }
 
-/// Statically evaluates `constraints` against a (candidate) state and
-/// returns the violations, canonically ordered.
+/// One batch, executed once: its outcomes, its edge deltas and the child
+/// snapshot they lead to.
+#[derive(Clone, Debug)]
+pub struct StagedBatch {
+    /// Per-command outcomes, in execution order.
+    pub outcomes: Vec<StepOutcome>,
+    /// The applied edge changes (see [`batch_deltas`]).
+    pub deltas: Vec<EdgeDelta>,
+    /// The candidate post-batch state with its read index, stamped with
+    /// the parent's epoch plus one.
+    pub child: PolicySnapshot,
+    /// How the child's index was derived.
+    pub path: PublishPath,
+}
+
+impl StagedBatch {
+    /// Stages `commands` against `parent`: [`simulate_batch`] produces
+    /// the outcomes, [`batch_deltas`] the deltas, and
+    /// [`PolicySnapshot::next`] the child from the parent's index.
+    pub fn stage(
+        parent: &PolicySnapshot,
+        commands: &[Command],
+        auth_mode: AuthMode,
+        publish_mode: PublishMode,
+    ) -> StagedBatch {
+        let (universe, policy, outcomes) =
+            simulate_batch(parent.universe(), parent.policy(), commands, auth_mode);
+        let deltas = batch_deltas(commands, &outcomes);
+        let (child, path) = PolicySnapshot::next(
+            parent,
+            &universe,
+            &policy,
+            &deltas,
+            parent.epoch + 1,
+            publish_mode,
+        );
+        StagedBatch {
+            outcomes,
+            deltas,
+            child,
+            path,
+        }
+    }
+
+    /// The gate: refuses with an [`AdmissionReport`] iff the child
+    /// violates `constraints`. `Ok(())` admits.
+    pub fn admit(
+        &self,
+        constraints: &ConstraintSet,
+        auth_mode: AuthMode,
+    ) -> Result<(), AdmissionReport> {
+        let findings = evaluate_snapshot(&self.child, constraints, auth_mode);
+        if findings.is_empty() {
+            return Ok(());
+        }
+        Err(AdmissionReport {
+            findings,
+            constraints_checked: constraints.len(),
+        })
+    }
+
+    /// The blast radius of this batch against `parent`, the snapshot it
+    /// was staged from: permission flips read off the two prebuilt
+    /// indexes, grow-only and interval-status changes, and the gate's
+    /// findings against the child. Nothing is mutated.
+    pub fn impact(
+        &self,
+        parent: &PolicySnapshot,
+        constraints: &ConstraintSet,
+        auth_mode: AuthMode,
+    ) -> ImpactReport {
+        let (universe, policy) = (parent.universe(), parent.policy());
+        let child = &self.child;
+
+        // Permission flips. Perm terms are interned only at build time
+        // (steps intern ¤/♦ terms, never Perm), so the parent's term table
+        // covers every Perm id in the child.
+        let perm_terms: Vec<PrivId> = universe
+            .priv_ids()
+            .filter(|&p| matches!(universe.term(p), PrivTerm::Perm(_)))
+            .collect();
+        let mut flipped = Vec::new();
+        for u in universe.users() {
+            for &p in &perm_terms {
+                let before = parent.reach().reach_priv(Entity::User(u), p);
+                let after = child.reach().reach_priv(Entity::User(u), p);
+                if before != after {
+                    flipped.push(PermFlip {
+                        user: u,
+                        term: p,
+                        now_granted: after,
+                    });
+                }
+            }
+        }
+
+        // Interval status changes over every edge either closure mentions.
+        let parent_interval = Interval::from_policy(universe, policy, auth_mode);
+        let child_interval = Interval::from_policy(child.universe(), child.policy(), auth_mode);
+        let mut edges: BTreeSet<Edge> = parent_interval.potential.policy.edges().collect();
+        edges.extend(child_interval.potential.policy.edges());
+        let status_changes = edges
+            .into_iter()
+            .filter_map(|e| {
+                let before = parent_interval.status(e);
+                let after = child_interval.status(e);
+                (before != after).then_some(StatusChange {
+                    edge: e,
+                    before,
+                    after,
+                })
+            })
+            .collect();
+
+        ImpactReport {
+            outcomes: self.outcomes.clone(),
+            deltas: self.deltas.clone(),
+            flipped,
+            grow_only_before: is_grow_only(universe, policy),
+            grow_only_after: is_grow_only(child.universe(), child.policy()),
+            status_changes,
+            findings: evaluate_snapshot(child, constraints, auth_mode),
+            severed_sessions: Vec::new(),
+        }
+    }
+}
+
+/// Statically evaluates `constraints` against a (candidate) snapshot and
+/// returns the violations, canonically ordered. Separation-of-duty pairs
+/// are probed on the snapshot's prebuilt index.
 ///
 /// Emitted findings:
 /// * [`FindingKind::SodConflict`] (error, confirmed) — a user reaches
@@ -326,65 +459,61 @@ pub fn simulate_batch(
 /// * [`FindingKind::FrozenEdgeViolation`] (error, potential) — the edge
 ///   is present but not in `Φ⁻` (some authorized sequence revokes it);
 /// * any lint finding at or above `deny_level`, verbatim, when set.
-pub fn evaluate_constraints(
-    universe: &Universe,
-    policy: &Policy,
+pub fn evaluate_snapshot(
+    state: &PolicySnapshot,
     constraints: &ConstraintSet,
     auth_mode: AuthMode,
 ) -> Vec<Finding> {
+    let (universe, policy, index) = (state.universe(), state.policy(), state.reach());
     let mut findings = Vec::new();
-    if constraints.is_empty() {
-        return findings;
-    }
-    if !constraints.sod_pairs.is_empty() {
-        let index = ReachIndex::build(universe, policy);
-        for &(a, b) in &constraints.sod_pairs {
-            for u in universe.users() {
-                if index.reach_entity(Entity::User(u), Entity::Role(a))
-                    && index.reach_entity(Entity::User(u), Entity::Role(b))
-                {
-                    findings.push(Finding {
-                        kind: FindingKind::SodConflict,
-                        severity: Severity::Error,
-                        role: a,
-                        term: None,
-                        edge: None,
-                        confirmation: Some(Confirmation::Confirmed),
-                        message: format!(
-                            "user '{}' would hold both '{}' and '{}' in the published state",
-                            universe.user_name(u),
-                            universe.role_name(a),
-                            universe.role_name(b)
-                        ),
-                    });
-                }
+    for &(a, b) in &constraints.sod_pairs {
+        for u in universe.users() {
+            if index.reach_entity(Entity::User(u), Entity::Role(a))
+                && index.reach_entity(Entity::User(u), Entity::Role(b))
+            {
+                findings.push(Finding {
+                    kind: FindingKind::SodConflict,
+                    severity: Severity::Error,
+                    role: a,
+                    term: None,
+                    edge: None,
+                    confirmation: Some(Confirmation::Confirmed),
+                    message: format!(
+                        "user '{}' would hold both '{}' and '{}' in the published state",
+                        universe.user_name(u),
+                        universe.role_name(a),
+                        universe.role_name(b)
+                    ),
+                });
             }
         }
     }
     if !constraints.frozen_edges.is_empty() {
         let interval = Interval::from_policy(universe, policy, auth_mode);
         for &edge in &constraints.frozen_edges {
-            if !policy.contains_edge(edge) {
-                findings.push(Finding {
-                    kind: FindingKind::FrozenEdgeViolation,
-                    severity: Severity::Error,
-                    role: edge_anchor_role(edge),
-                    term: None,
-                    edge: Some(edge),
-                    confirmation: Some(Confirmation::Confirmed),
-                    message: "edge asserted frozen is absent from the published state".to_string(),
-                });
+            let violation = if !policy.contains_edge(edge) {
+                Some((
+                    Confirmation::Confirmed,
+                    "edge asserted frozen is absent from the published state",
+                ))
             } else if interval.status(edge) != EdgeStatus::Frozen {
+                Some((
+                    Confirmation::Potential,
+                    "edge asserted frozen is revocable by an authorized command sequence \
+                     (not in the must-closure)",
+                ))
+            } else {
+                None
+            };
+            if let Some((confirmation, message)) = violation {
                 findings.push(Finding {
                     kind: FindingKind::FrozenEdgeViolation,
                     severity: Severity::Error,
                     role: edge_anchor_role(edge),
                     term: None,
                     edge: Some(edge),
-                    confirmation: Some(Confirmation::Potential),
-                    message: "edge asserted frozen is revocable by an authorized command \
-                              sequence (not in the must-closure)"
-                        .to_string(),
+                    confirmation: Some(confirmation),
+                    message: message.to_string(),
                 });
             }
         }
@@ -402,8 +531,23 @@ pub fn evaluate_constraints(
     findings
 }
 
-/// The gate: simulates `commands` and refuses with an [`AdmissionReport`]
-/// iff the *candidate* state violates `constraints`. `Ok(())` admits.
+/// [`evaluate_snapshot`] over a bare `(universe, policy)`, indexed from
+/// scratch.
+pub fn evaluate_constraints(
+    universe: &Universe,
+    policy: &Policy,
+    constraints: &ConstraintSet,
+    auth_mode: AuthMode,
+) -> Vec<Finding> {
+    if constraints.is_empty() {
+        return Vec::new();
+    }
+    let state = PolicySnapshot::build(universe.clone(), policy.clone(), 0);
+    evaluate_snapshot(&state, constraints, auth_mode)
+}
+
+/// [`StagedBatch::admit`] over a bare state, with parent and candidate
+/// indexed from scratch. `Ok(())` admits.
 pub fn admit_batch(
     universe: &Universe,
     policy: &Policy,
@@ -414,16 +558,9 @@ pub fn admit_batch(
     if constraints.is_empty() {
         return Ok(());
     }
-    let (cand_universe, cand_policy, _) = simulate_batch(universe, policy, commands, auth_mode);
-    let findings = evaluate_constraints(&cand_universe, &cand_policy, constraints, auth_mode);
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(AdmissionReport {
-            findings,
-            constraints_checked: constraints.len(),
-        })
-    }
+    let parent = PolicySnapshot::build(universe.clone(), policy.clone(), 0);
+    StagedBatch::stage(&parent, commands, auth_mode, PublishMode::FullRebuild)
+        .admit(constraints, auth_mode)
 }
 
 /// Is `(universe, policy)` grow-only — no revoke-term assignment edge —
@@ -436,9 +573,9 @@ pub fn is_grow_only(universe: &Universe, policy: &Policy) -> bool {
     })
 }
 
-/// Full blast-radius analysis of a candidate batch: simulate, diff the
-/// parent against the candidate, and evaluate the gate — all without
-/// mutating anything.
+/// Full blast-radius analysis of a candidate batch over a bare state,
+/// with parent and candidate indexed from scratch (see
+/// [`StagedBatch::impact`]). Nothing is mutated.
 pub fn analyze_batch(
     universe: &Universe,
     policy: &Policy,
@@ -446,63 +583,9 @@ pub fn analyze_batch(
     constraints: &ConstraintSet,
     auth_mode: AuthMode,
 ) -> ImpactReport {
-    let (cand_universe, cand_policy, outcomes) =
-        simulate_batch(universe, policy, commands, auth_mode);
-    let deltas = batch_deltas(commands, &outcomes);
-
-    // Permission flips. Perm terms are interned only at build time
-    // (steps intern ¤/♦ terms, never Perm), so the parent's term table
-    // covers every Perm id in the candidate.
-    let parent_index = ReachIndex::build(universe, policy);
-    let cand_index = ReachIndex::build(&cand_universe, &cand_policy);
-    let perm_terms: Vec<PrivId> = (0..universe.term_count())
-        .map(PrivId::from_index)
-        .filter(|&p| matches!(universe.term(p), PrivTerm::Perm(_)))
-        .collect();
-    let mut flipped = Vec::new();
-    for u in universe.users() {
-        for &p in &perm_terms {
-            let before = parent_index.reach_priv(Entity::User(u), p);
-            let after = cand_index.reach_priv(Entity::User(u), p);
-            if before != after {
-                flipped.push(PermFlip {
-                    user: u,
-                    term: p,
-                    now_granted: after,
-                });
-            }
-        }
-    }
-
-    // Interval status changes over every edge either closure mentions.
-    let parent_interval = Interval::from_policy(universe, policy, auth_mode);
-    let cand_interval = Interval::from_policy(&cand_universe, &cand_policy, auth_mode);
-    let mut edges: BTreeSet<Edge> = parent_interval.potential.policy.edges().collect();
-    edges.extend(cand_interval.potential.policy.edges());
-    let status_changes = edges
-        .into_iter()
-        .filter_map(|e| {
-            let before = parent_interval.status(e);
-            let after = cand_interval.status(e);
-            (before != after).then_some(StatusChange {
-                edge: e,
-                before,
-                after,
-            })
-        })
-        .collect();
-
-    let findings = evaluate_constraints(&cand_universe, &cand_policy, constraints, auth_mode);
-    ImpactReport {
-        outcomes,
-        deltas,
-        flipped,
-        grow_only_before: is_grow_only(universe, policy),
-        grow_only_after: is_grow_only(&cand_universe, &cand_policy),
-        status_changes,
-        findings,
-        severed_sessions: Vec::new(),
-    }
+    let parent = PolicySnapshot::build(universe.clone(), policy.clone(), 0);
+    let staged = StagedBatch::stage(&parent, commands, auth_mode, PublishMode::FullRebuild);
+    staged.impact(&parent, constraints, auth_mode)
 }
 
 /// The role a finding about `edge` anchors to (findings require one).

@@ -87,17 +87,7 @@ impl Policy {
     /// with those panics. Servers must check this before building
     /// indexes over a caller-supplied policy.
     pub fn ids_in_bounds(&self, universe: &Universe) -> bool {
-        self.edges().all(|edge| match edge {
-            Edge::UserRole(u, r) => {
-                u.index() < universe.user_count() && r.index() < universe.role_count()
-            }
-            Edge::RoleRole(a, b) => {
-                a.index() < universe.role_count() && b.index() < universe.role_count()
-            }
-            Edge::RolePriv(r, p) => {
-                r.index() < universe.role_count() && p.index() < universe.term_count()
-            }
-        })
+        self.edges().all(|edge| universe.edge_in_bounds(edge))
     }
 
     /// Asserts (in debug builds) that `universe` is the one this policy was

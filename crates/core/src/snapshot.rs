@@ -23,10 +23,9 @@
 //! publish, plus deep clones of the universe and policy), it produces
 //! the child snapshot by structural sharing plus targeted updates:
 //!
-//! * the **universe** `Arc` is reused verbatim unless the batch interned
-//!   new names or terms (checked via [`Universe::population_stamp`]);
-//! * the **policy** clone is three `Arc` bumps (the writer's next
-//!   mutation copies only the relation it touches);
+//! * the **universe** and **policy** clones are `Arc` bumps (both are
+//!   copy-on-write: a later batch copies only the table or relation it
+//!   touches);
 //! * the **index** is delta-maintained by [`ReachIndex::apply_delta`]:
 //!   membership and holder rows update in place, and an added role edge
 //!   fans its target's closure row out along the reverse-reachability
@@ -41,7 +40,6 @@
 //! `ADMINREF_PUBLISH_MODE=full` CI lane) can pin every publish to the
 //! from-scratch path and assert the two chains are index-identical.
 
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 use crate::checksum::{policy_checksum, toggle_edge};
@@ -121,7 +119,7 @@ pub fn batch_deltas(commands: &[Command], outcomes: &[StepOutcome]) -> Vec<EdgeD
 pub struct PolicySnapshot {
     /// The epoch that published this snapshot (0 = initial state).
     pub epoch: u64,
-    universe: Arc<Universe>,
+    universe: Universe,
     policy: Policy,
     reach: ReachIndex,
     checksum: u64,
@@ -131,11 +129,6 @@ impl PolicySnapshot {
     /// Freezes `(universe, policy)` as epoch `epoch`, building the
     /// reachability index from scratch.
     pub fn build(universe: Universe, policy: Policy, epoch: u64) -> Self {
-        Self::build_shared(Arc::new(universe), policy, epoch)
-    }
-
-    /// [`build`](Self::build) over an already-shared universe.
-    pub fn build_shared(universe: Arc<Universe>, policy: Policy, epoch: u64) -> Self {
         let reach = ReachIndex::build(&universe, &policy);
         let checksum = policy_checksum(&policy);
         PolicySnapshot {
@@ -151,14 +144,13 @@ impl PolicySnapshot {
     ///
     /// `policy` is the post-batch policy, `deltas` the exact sequence of
     /// applied edge changes leading from `parent`'s policy to it (see
-    /// [`batch_deltas`]), and `universe` the post-batch universe —
-    /// shared with the parent's `Arc` unless the batch interned new
-    /// names or terms. Under [`PublishMode::Incremental`] the read
-    /// index is delta-maintained (see the module docs for the lemma and
-    /// the fallback conditions); under [`PublishMode::FullRebuild`] it
-    /// is rebuilt from scratch. The returned [`PublishPath`] reports
-    /// which happened; both paths produce index-identical snapshots,
-    /// which the suite's differential proptests assert epoch by epoch.
+    /// [`batch_deltas`]), and `universe` the post-batch universe. Under
+    /// [`PublishMode::Incremental`] the read index is delta-maintained
+    /// (see the module docs for the lemma and the fallback conditions);
+    /// under [`PublishMode::FullRebuild`] it is rebuilt from scratch. The
+    /// returned [`PublishPath`] reports which happened; both paths produce
+    /// index-identical snapshots, which the suite's differential
+    /// proptests assert epoch by epoch.
     pub fn next(
         parent: &PolicySnapshot,
         universe: &Universe,
@@ -167,13 +159,8 @@ impl PolicySnapshot {
         epoch: u64,
         mode: PublishMode,
     ) -> (Self, PublishPath) {
-        let shared = if universe.population_stamp() == parent.universe.population_stamp() {
-            Arc::clone(&parent.universe)
-        } else {
-            Arc::new(universe.clone())
-        };
         if mode == PublishMode::Incremental {
-            if let Some(reach) = parent.reach.apply_delta(&shared, &parent.policy, deltas) {
+            if let Some(reach) = parent.reach.apply_delta(universe, &parent.policy, deltas) {
                 // Every applied delta toggles membership of exactly one
                 // edge, so XOR-folding the digests is the exact set
                 // checksum of the child policy.
@@ -184,7 +171,7 @@ impl PolicySnapshot {
                 return (
                     PolicySnapshot {
                         epoch,
-                        universe: shared,
+                        universe: universe.clone(),
                         policy: policy.clone(),
                         reach,
                         checksum,
@@ -194,19 +181,13 @@ impl PolicySnapshot {
             }
         }
         (
-            Self::build_shared(shared, policy.clone(), epoch),
+            Self::build(universe.clone(), policy.clone(), epoch),
             PublishPath::FullRebuild,
         )
     }
 
     /// The frozen universe.
     pub fn universe(&self) -> &Universe {
-        &self.universe
-    }
-
-    /// The frozen universe's shared handle (for callers that want to
-    /// keep it alive past the snapshot without a deep clone).
-    pub fn universe_arc(&self) -> &Arc<Universe> {
         &self.universe
     }
 
@@ -263,7 +244,7 @@ impl PolicySnapshot {
     /// Clones out the `(universe, policy)` pair for offline analysis or
     /// as the seed of a writer's working state.
     pub fn clone_state(&self) -> (Universe, Policy) {
-        ((*self.universe).clone(), self.policy.clone())
+        (self.universe.clone(), self.policy.clone())
     }
 }
 
@@ -351,8 +332,8 @@ mod tests {
         assert_eq!(path, PublishPath::Incremental);
         assert_eq!(child.epoch, 1);
         assert!(
-            Arc::ptr_eq(parent.universe_arc(), child.universe_arc()),
-            "no names interned: the universe allocation is shared"
+            parent.universe().shares_tables(child.universe()),
+            "no names interned: the universe tables are shared"
         );
         let rebuilt = PolicySnapshot::build(child.universe().clone(), policy.clone(), 1);
         let write_t3 = {

@@ -130,10 +130,7 @@ pub fn authorize(
 
 /// The mutation half of [`step`]: applies an already-authorized
 /// command's edge change to `policy`. Returns whether the edge set
-/// actually changed. Callers that need to interpose between the
-/// authorization decision and the state change (e.g. a write-ahead log
-/// that must persist the decision before applying it) use
-/// [`authorize`] + `apply_edge`; everyone else uses [`step`].
+/// actually changed.
 pub fn apply_edge(policy: &mut Policy, cmd: &Command) -> bool {
     match cmd.kind {
         CommandKind::Grant => policy.add_edge(cmd.edge),

@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 use crate::ids::{ActionId, Entity, ObjectId, Perm, PrivId, RoleId, UserId};
 use crate::interner::Interner;
@@ -115,13 +116,29 @@ impl UniverseTag {
 static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// Owns the fixed sets `U, R, A, O` and the privilege term table.
+///
+/// The name interners and the term table each live behind an [`Arc`],
+/// so a clone is two reference-count bumps and shares its tables until
+/// it interns something new ([`Arc::make_mut`]); terms are probed first,
+/// so staging a batch copies the term table only for a new term. The
+/// original never sees a clone's interning.
 #[derive(Debug, Clone)]
 pub struct Universe {
     tag: UniverseTag,
+    names: Arc<Names>,
+    terms: Arc<Terms>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Names {
     users: Interner,
     roles: Interner,
     actions: Interner,
     objects: Interner,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Terms {
     terms: Vec<PrivTerm>,
     /// Connective-nesting depth per term (user privileges have depth 0,
     /// `¤(u,r)` depth 1, `¤(r,¤(u,r))` depth 2, …). Example 6 and Remark 2
@@ -141,13 +158,8 @@ impl Universe {
     pub fn new() -> Self {
         Universe {
             tag: UniverseTag(NEXT_TAG.fetch_add(1, AtomicOrdering::Relaxed)),
-            users: Interner::new(),
-            roles: Interner::new(),
-            actions: Interner::new(),
-            objects: Interner::new(),
-            terms: Vec::new(),
-            depths: Vec::new(),
-            index: HashMap::new(),
+            names: Arc::default(),
+            terms: Arc::default(),
         }
     }
 
@@ -172,22 +184,22 @@ impl Universe {
 
     /// Interns a user name.
     pub fn user(&mut self, name: &str) -> UserId {
-        UserId(self.users.intern(name))
+        UserId(Arc::make_mut(&mut self.names).users.intern(name))
     }
 
     /// Interns a role name.
     pub fn role(&mut self, name: &str) -> RoleId {
-        RoleId(self.roles.intern(name))
+        RoleId(Arc::make_mut(&mut self.names).roles.intern(name))
     }
 
     /// Interns an action name.
     pub fn action(&mut self, name: &str) -> ActionId {
-        ActionId(self.actions.intern(name))
+        ActionId(Arc::make_mut(&mut self.names).actions.intern(name))
     }
 
     /// Interns an object name.
     pub fn object(&mut self, name: &str) -> ObjectId {
-        ObjectId(self.objects.intern(name))
+        ObjectId(Arc::make_mut(&mut self.names).objects.intern(name))
     }
 
     /// Interns a user privilege `(action, object)` in one call.
@@ -199,57 +211,57 @@ impl Universe {
 
     /// Looks up a user by name without interning.
     pub fn find_user(&self, name: &str) -> Option<UserId> {
-        self.users.get(name).map(UserId)
+        self.names.users.get(name).map(UserId)
     }
 
     /// Looks up a role by name without interning.
     pub fn find_role(&self, name: &str) -> Option<RoleId> {
-        self.roles.get(name).map(RoleId)
+        self.names.roles.get(name).map(RoleId)
     }
 
     /// Name of a user.
     pub fn user_name(&self, u: UserId) -> &str {
-        self.users.resolve(u.0)
+        self.names.users.resolve(u.0)
     }
 
     /// Name of a role.
     pub fn role_name(&self, r: RoleId) -> &str {
-        self.roles.resolve(r.0)
+        self.names.roles.resolve(r.0)
     }
 
     /// Name of an action.
     pub fn action_name(&self, a: ActionId) -> &str {
-        self.actions.resolve(a.0)
+        self.names.actions.resolve(a.0)
     }
 
     /// Name of an object.
     pub fn object_name(&self, o: ObjectId) -> &str {
-        self.objects.resolve(o.0)
+        self.names.objects.resolve(o.0)
     }
 
     /// Number of interned users.
     pub fn user_count(&self) -> usize {
-        self.users.len()
+        self.names.users.len()
     }
 
     /// Number of interned roles.
     pub fn role_count(&self) -> usize {
-        self.roles.len()
+        self.names.roles.len()
     }
 
     /// Number of interned privilege terms.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.terms.terms.len()
     }
 
     /// Number of interned action names.
     pub fn action_count(&self) -> usize {
-        self.actions.len()
+        self.names.actions.len()
     }
 
     /// Number of interned object names.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.names.objects.len()
     }
 
     /// The sizes of every intern table, as one comparable stamp.
@@ -259,46 +271,58 @@ impl Universe {
     /// publisher uses to share one allocation across epochs.
     pub fn population_stamp(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.users.len(),
-            self.roles.len(),
-            self.actions.len(),
-            self.objects.len(),
-            self.terms.len(),
+            self.names.users.len(),
+            self.names.roles.len(),
+            self.names.actions.len(),
+            self.names.objects.len(),
+            self.terms.terms.len(),
         )
+    }
+
+    /// `true` iff every id `edge` names is interned here — the
+    /// non-panicking bounds check for edges that cross a trust boundary.
+    pub fn edge_in_bounds(&self, edge: Edge) -> bool {
+        let role_ok = |r: RoleId| r.index() < self.role_count();
+        match edge {
+            Edge::UserRole(u, r) => u.index() < self.user_count() && role_ok(r),
+            Edge::RoleRole(a, b) => role_ok(a) && role_ok(b),
+            Edge::RolePriv(r, p) => role_ok(r) && p.index() < self.term_count(),
+        }
     }
 
     /// Iterates all users.
     pub fn users(&self) -> impl Iterator<Item = UserId> {
-        (0..self.users.len() as u32).map(UserId)
+        (0..self.names.users.len() as u32).map(UserId)
     }
 
     /// Iterates all roles.
     pub fn roles(&self) -> impl Iterator<Item = RoleId> {
-        (0..self.roles.len() as u32).map(RoleId)
+        (0..self.names.roles.len() as u32).map(RoleId)
     }
 
     /// Iterates all interned privilege ids.
     pub fn priv_ids(&self) -> impl Iterator<Item = PrivId> {
-        (0..self.terms.len() as u32).map(PrivId)
+        (0..self.terms.terms.len() as u32).map(PrivId)
     }
 
     // ----- privilege terms ---------------------------------------------
 
     fn intern_term(&mut self, term: PrivTerm) -> PrivId {
-        if let Some(&id) = self.index.get(&term) {
+        if let Some(&id) = self.terms.index.get(&term) {
             return id;
         }
         let depth = match term {
             PrivTerm::Perm(_) => 0,
             PrivTerm::Grant(e) | PrivTerm::Revoke(e) => match e {
                 Edge::UserRole(..) | Edge::RoleRole(..) => 1,
-                Edge::RolePriv(_, p) => 1 + self.depths[p.index()],
+                Edge::RolePriv(_, p) => 1 + self.depth(p),
             },
         };
-        let id = PrivId(u32::try_from(self.terms.len()).expect("priv table overflow"));
-        self.terms.push(term);
-        self.depths.push(depth);
-        self.index.insert(term, id);
+        let table = Arc::make_mut(&mut self.terms);
+        let id = PrivId(u32::try_from(table.terms.len()).expect("priv table overflow"));
+        table.terms.push(term);
+        table.depths.push(depth);
+        table.index.insert(term, id);
         id
     }
 
@@ -350,18 +374,24 @@ impl Universe {
     /// The term behind an id.
     #[inline]
     pub fn term(&self, p: PrivId) -> PrivTerm {
-        self.terms[p.index()]
+        self.terms.terms[p.index()]
     }
 
     /// Connective-nesting depth of a term (0 for user privileges).
     #[inline]
     pub fn depth(&self, p: PrivId) -> u32 {
-        self.depths[p.index()]
+        self.terms.depths[p.index()]
     }
 
     /// Looks up a term without interning.
     pub fn find_term(&self, term: PrivTerm) -> Option<PrivId> {
-        self.index.get(&term).copied()
+        self.terms.index.get(&term).copied()
+    }
+
+    /// `true` iff both handles share one allocation of each table.
+    #[cfg(test)]
+    pub(crate) fn shares_tables(&self, other: &Universe) -> bool {
+        Arc::ptr_eq(&self.names, &other.names) && Arc::ptr_eq(&self.terms, &other.terms)
     }
 
     /// All edges occurring anywhere inside `p`, including nested ones.
@@ -452,6 +482,37 @@ mod tests {
         assert!(edges.contains(&Edge::RolePriv(hr, inner)));
         assert!(edges.contains(&Edge::UserRole(u, staff)));
         assert_eq!(edges.len(), 2);
+    }
+
+    #[test]
+    fn interning_into_a_clone_leaves_the_original_unchanged() {
+        let mut uni = Universe::new();
+        let bob = uni.user("bob");
+        let staff = uni.role("staff");
+        let held = uni.grant_user_role(bob, staff);
+        let stamp = uni.population_stamp();
+        let mut clone = uni.clone();
+        // Re-interning an existing term copies nothing.
+        assert_eq!(clone.grant_user_role(bob, staff), held);
+        assert!(uni.shares_tables(&clone));
+        // New names and terms land in the clone only.
+        let eve = clone.user("eve");
+        let fresh = clone.revoke_user_role(eve, staff);
+        assert_eq!(clone.term_count(), uni.term_count() + 1);
+        assert_eq!(uni.population_stamp(), stamp);
+        assert_eq!(uni.term_count(), 1);
+        assert_eq!(uni.find_user("eve"), None);
+        assert_eq!(
+            uni.find_term(PrivTerm::Revoke(Edge::UserRole(eve, staff))),
+            None
+        );
+        assert_eq!(uni.find_user("bob"), Some(bob));
+        assert_eq!(uni.term(held), PrivTerm::Grant(Edge::UserRole(bob, staff)));
+        assert_eq!(
+            clone.term(fresh),
+            PrivTerm::Revoke(Edge::UserRole(eve, staff))
+        );
+        assert_eq!(clone.tag(), uni.tag());
     }
 
     #[test]

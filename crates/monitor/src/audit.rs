@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 
 use adminref_core::command::Command;
 use adminref_core::ids::{PrivId, RoleId, UserId};
+use adminref_core::transition::StepOutcome;
 use adminref_core::verify::specs::{TraceDecision, TraceStep};
 
 use crate::monitor::SessionId;
@@ -32,6 +33,19 @@ pub enum Decision {
     },
     /// Refused (consumed as a no-op per Definition 5).
     Refused,
+}
+
+impl Decision {
+    /// The decision a step outcome records.
+    pub fn of(outcome: &StepOutcome) -> Decision {
+        match outcome.authorization {
+            Some(auth) => Decision::Executed {
+                held: auth.held,
+                target: auth.target,
+            },
+            None => Decision::Refused,
+        }
+    }
 }
 
 /// One audit event.

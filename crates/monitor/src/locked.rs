@@ -74,14 +74,9 @@ impl LockedMonitor {
         let mode = inner.config.auth_mode;
         let inner = &mut *inner;
         let outcome = step(&mut inner.universe, &mut inner.policy, cmd, mode);
-        let decision = match outcome.authorization {
-            Some(auth) => Decision::Executed {
-                held: auth.held,
-                target: auth.target,
-            },
-            None => Decision::Refused,
-        };
-        inner.audit.record(*cmd, decision, outcome.changed);
+        inner
+            .audit
+            .record(*cmd, Decision::of(&outcome), outcome.changed);
         if outcome.changed {
             inner.version += 1;
             let added = matches!(cmd.kind, adminref_core::command::CommandKind::Grant);

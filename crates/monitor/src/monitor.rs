@@ -25,18 +25,21 @@
 //!   separate sessions `RwLock` that administrative commands never touch.
 //! * **Write path** — [`submit`](ReferenceMonitor::submit) and
 //!   [`submit_queue`](ReferenceMonitor::submit_queue) funnel through one
-//!   writer mutex. A whole queue is applied as **one batch**: commands
-//!   execute serially under Definition 5 (so outcomes and the audit
-//!   sequence are identical to a serial monitor), the durable backend
-//!   syncs its WAL once per batch, the derived index is **delta-derived
-//!   from the parent epoch** once per batch
+//!   writer mutex. A whole queue is applied as **one batch**, executed
+//!   exactly once and taken stage → gate → log → publish
+//!   ([`StagedBatch`]): the commands run serially under Definition 5 on
+//!   copy-on-write clones of the published parent (so outcomes and the
+//!   audit sequence are identical to a serial monitor) and the child
+//!   snapshot is **delta-derived from the parent epoch**
 //!   ([`PolicySnapshot::next`] — structural sharing plus the batch's
 //!   edge deltas, with a from-scratch rebuild fallback for
-//!   SCC-restructuring batches or via
-//!   [`PublishMode::FullRebuild`]), and the new snapshot is published
-//!   atomically with `epoch = version() + 1`. Readers therefore observe
-//!   only whole batches: every concurrent read agrees with either the
-//!   pre- or the post-batch policy, never a torn intermediate state.
+//!   SCC-restructuring batches or via [`PublishMode::FullRebuild`]);
+//!   the admission gate judges that child, the durable backend logs the
+//!   decided records and syncs its WAL once, and the same child is
+//!   published atomically with `epoch = version() + 1`. Readers
+//!   therefore observe only whole batches: every concurrent read agrees
+//!   with either the pre- or the post-batch policy, never a torn
+//!   intermediate state.
 //!   After a batch containing revocations publishes, sessions are
 //!   revalidated: an active role whose `u →φ r` justification the batch
 //!   severed is force-deactivated (and recorded as a
@@ -55,7 +58,7 @@ use std::sync::Arc;
 use arc_swap::ArcSwap;
 use parking_lot::{Mutex, RwLock};
 
-use adminref_core::admission::{self, AdmissionReport, ConstraintSet, ImpactReport};
+use adminref_core::admission::{AdmissionReport, ConstraintSet, ImpactReport, StagedBatch};
 use adminref_core::command::{Command, CommandQueue};
 use adminref_core::ids::{Entity, Perm, RoleId, UserId};
 use adminref_core::lint::{lint_policy, LintConfig, LintReport};
@@ -64,7 +67,7 @@ use adminref_core::reach::EdgeDelta;
 use adminref_core::safety::{perm_reachable, ReachabilityAnswer, SafetyConfig};
 use adminref_core::session::{Session, SessionError};
 use adminref_core::snapshot::{batch_deltas, PolicySnapshot, PublishMode, PublishPath};
-use adminref_core::transition::{step, AuthMode, StepOutcome};
+use adminref_core::transition::{AuthMode, StepOutcome};
 use adminref_core::universe::{Edge, Universe};
 use adminref_core::verify::specs::SessionView;
 use adminref_store::{PolicyStore, RecoveryReport, StoreError};
@@ -86,12 +89,6 @@ pub struct MonitorConfig {
     /// fresh snapshot, so a long-running monitor never replays an
     /// unbounded log on reopen. `None` disables auto-compaction.
     pub autocompact_log_len: Option<u64>,
-    /// Whether the publish-time admission gate runs: when `true` (the
-    /// default) and a non-empty [`ConstraintSet`] is declared, every
-    /// batch is statically checked against the candidate post-batch
-    /// state and refused with [`MonitorError::Admission`] *before* it
-    /// touches the WAL, audit log, or published epoch.
-    pub admission_enabled: bool,
 }
 
 impl Default for MonitorConfig {
@@ -101,7 +98,6 @@ impl Default for MonitorConfig {
             audit_capacity: 4096,
             publish_mode: PublishMode::default(),
             autocompact_log_len: Some(4096),
-            admission_enabled: true,
         }
     }
 }
@@ -171,66 +167,6 @@ impl SessionId {
     pub fn raw(self) -> u64 {
         self.0
     }
-}
-
-// The Memory variant is much larger than the boxed Durable variant; a
-// monitor holds exactly one Backend for its whole lifetime, so the size
-// difference has no practical cost.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Memory { universe: Universe, policy: Policy },
-    Durable(Box<PolicyStore>),
-}
-
-impl Backend {
-    fn universe(&self) -> &Universe {
-        match self {
-            Backend::Memory { universe, .. } => universe,
-            Backend::Durable(store) => store.universe(),
-        }
-    }
-
-    fn policy(&self) -> &Policy {
-        match self {
-            Backend::Memory { policy, .. } => policy,
-            Backend::Durable(store) => store.policy(),
-        }
-    }
-
-    /// Applies one batch: serial Definition-5 execution per command, one
-    /// WAL sync per batch on the durable backend. Returns the outcomes
-    /// of every command that executed plus the first backend error, if
-    /// any — on a mid-batch store failure the applied prefix is exactly
-    /// `outcomes` (the store's log-before-apply discipline guarantees
-    /// the failing command changed nothing), so the caller can audit
-    /// and publish it before surfacing the error.
-    fn execute_batch(
-        &mut self,
-        commands: &[Command],
-        mode: AuthMode,
-    ) -> (Vec<StepOutcome>, Option<MonitorError>) {
-        match self {
-            Backend::Memory { universe, policy } => (
-                commands
-                    .iter()
-                    .map(|cmd| step(universe, policy, cmd, mode))
-                    .collect(),
-                None,
-            ),
-            Backend::Durable(store) => {
-                debug_assert_eq!(store.auth_mode(), mode, "mode set at store creation");
-                let (outcomes, status) = store.execute_batch(commands.iter());
-                (outcomes, status.err().map(MonitorError::from))
-            }
-        }
-    }
-}
-
-/// Write-side state: the live backend plus the publication counter. Only
-/// the batched writer (and `compact`/`sync`) ever locks this.
-struct Writer {
-    backend: Backend,
-    epoch: u64,
 }
 
 /// One published epoch, as observed by a replication hook: the epoch id,
@@ -350,8 +286,10 @@ pub(crate) fn sweep_stale_activations(
 pub struct ReferenceMonitor {
     /// Published read-side state; see the module docs.
     snapshot: ArcSwap<PolicySnapshot>,
-    /// Serialized write-side state.
-    writer: Mutex<Writer>,
+    /// The write path's lock, holding the durable store, if any. In
+    /// memory the published snapshot *is* the state; a store keeps its
+    /// own copy (shared copy-on-write with it) to log and compact.
+    writer: Mutex<Option<Box<PolicyStore>>>,
     /// Sessions, decoupled from the policy state (admin commands never
     /// lock this; session churn never blocks the writer).
     sessions: RwLock<HashMap<SessionId, Session>>,
@@ -396,30 +334,8 @@ impl ReferenceMonitor {
     /// An in-memory monitor over the given state.
     pub fn new(universe: Universe, policy: Policy, config: MonitorConfig) -> Self {
         policy.check_universe(&universe);
-        let snapshot = PolicySnapshot::build(universe.clone(), policy.clone(), 0);
-        ReferenceMonitor {
-            snapshot: ArcSwap::from_pointee(snapshot),
-            writer: Mutex::new(Writer {
-                backend: Backend::Memory { universe, policy },
-                epoch: 0,
-            }),
-            sessions: RwLock::new(HashMap::new()),
-            next_session: AtomicU64::new(0),
-            audit: Mutex::new(AuditLog::new(config.audit_capacity)),
-            publishes_incremental: AtomicU64::new(0),
-            publishes_full: AtomicU64::new(0),
-            autocompact_failures: AtomicU64::new(0),
-            analyses_run: AtomicU64::new(0),
-            analyses_indefinite: AtomicU64::new(0),
-            lints_run: AtomicU64::new(0),
-            lint_findings: AtomicU64::new(0),
-            recovery: None,
-            publish_hook: RwLock::new(None),
-            constraints: ArcSwap::from_pointee(ConstraintSet::default()),
-            admission_checks: AtomicU64::new(0),
-            admission_refusals: AtomicU64::new(0),
-            config,
-        }
+        let snapshot = PolicySnapshot::build(universe, policy, 0);
+        Self::with_backend(None, snapshot, None, config)
     }
 
     /// A monitor over a durable store (the store's auth mode wins).
@@ -443,13 +359,22 @@ impl ReferenceMonitor {
             ..config
         };
         let snapshot = PolicySnapshot::build(store.universe().clone(), store.policy().clone(), 0);
-        let constraints = store.constraints().clone();
+        Self::with_backend(Some(Box::new(store)), snapshot, recovery, config)
+    }
+
+    fn with_backend(
+        store: Option<Box<PolicyStore>>,
+        snapshot: PolicySnapshot,
+        recovery: Option<RecoveryReport>,
+        config: MonitorConfig,
+    ) -> Self {
+        let constraints = store
+            .as_ref()
+            .map(|store| store.constraints().clone())
+            .unwrap_or_default();
         ReferenceMonitor {
             snapshot: ArcSwap::from_pointee(snapshot),
-            writer: Mutex::new(Writer {
-                backend: Backend::Durable(Box::new(store)),
-                epoch: 0,
-            }),
+            writer: Mutex::new(store),
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             audit: Mutex::new(AuditLog::new(config.audit_capacity)),
@@ -478,8 +403,9 @@ impl ReferenceMonitor {
 
     /// Submits a whole queue, front to back, as **one batch**: outcomes
     /// and audit records are identical to submitting each command
-    /// individually, but the WAL is synced once, the read index is
-    /// rebuilt once, and exactly one new epoch is published — concurrent
+    /// individually, but the batch executes once, the WAL is synced
+    /// once, the read index is derived once, and exactly one new epoch
+    /// is published — concurrent
     /// readers see either the pre- or the post-queue policy, never an
     /// intermediate step.
     pub fn submit_queue(&self, queue: &CommandQueue) -> Result<Vec<StepOutcome>, MonitorError> {
@@ -491,15 +417,12 @@ impl ReferenceMonitor {
     /// [`submit_queue`](Self::submit_queue).
     ///
     /// On a durable-backend failure mid-batch the applied prefix is
-    /// still audited and published (the store's log-before-apply
-    /// discipline keeps state, WAL, audit, and the published snapshot
-    /// agreeing on exactly that prefix) and the error is returned.
+    /// still audited and published (the store installs exactly the
+    /// records it logged, so state, WAL, audit, and the published
+    /// snapshot agree on that prefix) and the error is returned.
     pub fn submit_batch(&self, commands: &[Command]) -> Result<Vec<StepOutcome>, MonitorError> {
         let (outcomes, error) = self.submit_batch_outcomes(commands);
-        match error {
-            Some(e) => Err(e),
-            None => Ok(outcomes),
-        }
+        error.map_or(Ok(outcomes), Err)
     }
 
     /// Submits a slice of commands as one batch, returning the outcomes
@@ -520,99 +443,104 @@ impl ReferenceMonitor {
             return (Vec::new(), None);
         }
         let mut writer = self.writer.lock();
-        // Admission gate: simulate the batch on scratch clones and check
-        // the candidate state against the declared constraints *before*
-        // anything touches the backend — a refused batch leaves the WAL,
-        // audit log, epoch, and published snapshot untouched.
-        if self.config.admission_enabled {
-            let constraints = self.constraints.load_full();
-            if !constraints.is_empty() {
-                self.admission_checks.fetch_add(1, Ordering::Relaxed);
-                if let Err(report) = admission::admit_batch(
-                    writer.backend.universe(),
-                    writer.backend.policy(),
-                    commands,
-                    &constraints,
-                    self.config.auth_mode,
-                ) {
-                    self.admission_refusals.fetch_add(1, Ordering::Relaxed);
-                    return (Vec::new(), Some(MonitorError::Admission(report)));
-                }
+        let mode = self.config.auth_mode;
+        // Stage: execute the batch once against the published parent.
+        let parent = self.snapshot.load_full();
+        let staged = StagedBatch::stage(&parent, commands, mode, self.config.publish_mode);
+        // Gate: judge that candidate before anything touches the backend
+        // — a refused batch leaves the WAL, audit log, epoch, and
+        // published snapshot untouched.
+        let constraints = self.constraints.load_full();
+        if !constraints.is_empty() {
+            self.admission_checks.fetch_add(1, Ordering::Relaxed);
+            if let Err(report) = staged.admit(&constraints, mode) {
+                self.admission_refusals.fetch_add(1, Ordering::Relaxed);
+                return (Vec::new(), Some(MonitorError::Admission(report)));
             }
         }
-        let terms_before = writer.backend.universe().term_count();
-        let (outcomes, error) = writer
-            .backend
-            .execute_batch(commands, self.config.auth_mode);
+        let StagedBatch {
+            mut outcomes,
+            mut deltas,
+            mut child,
+            mut path,
+        } = staged;
+        // Log: a durable store appends each decided record, syncs once,
+        // and installs the staged state.
+        let error = match writer.as_deref_mut() {
+            None => None,
+            Some(store) => {
+                debug_assert!(store.policy() == parent.policy(), "store tracks the epoch");
+                let (logged, status) =
+                    store.commit(commands, &outcomes, child.universe(), child.policy());
+                if logged < commands.len() {
+                    // An append failed: the store installed the logged
+                    // prefix, so that prefix is what gets audited and
+                    // published.
+                    outcomes.truncate(logged);
+                    deltas = batch_deltas(commands, &outcomes);
+                    (child, path) = PolicySnapshot::next(
+                        &parent,
+                        store.universe(),
+                        store.policy(),
+                        &deltas,
+                        child.epoch,
+                        self.config.publish_mode,
+                    );
+                }
+                status.err().map(MonitorError::from)
+            }
+        };
         // Audit while still holding the writer lock, so the global audit
         // order equals the execution (and WAL) order across batches.
-        {
-            let mut audit = self.audit.lock();
-            for (cmd, outcome) in commands.iter().zip(&outcomes) {
-                let decision = match outcome.authorization {
-                    Some(auth) => Decision::Executed {
-                        held: auth.held,
-                        target: auth.target,
-                    },
-                    None => Decision::Refused,
-                };
-                audit.record(*cmd, decision, outcome.changed);
-            }
+        let mut audit = self.audit.lock();
+        for (cmd, outcome) in commands.iter().zip(&outcomes) {
+            audit.record(*cmd, Decision::of(outcome), outcome.changed);
         }
+        drop(audit);
         // Publish one new epoch iff the batch had any observable effect:
         // an edge change, or a newly interned privilege term (ordered-
         // mode authorization interns targets; audit rendering needs them
         // resolvable in the published universe).
-        let changed = outcomes.iter().any(|o| o.changed)
-            || writer.backend.universe().term_count() != terms_before;
-        if changed {
-            writer.epoch += 1;
-            // The child snapshot is derived from the published parent:
-            // the universe Arc is reused unless the batch interned new
-            // names, the policy clone is three Arc bumps, and the read
-            // index is delta-maintained from the batch's edge deltas
-            // (with a from-scratch fallback; see PolicySnapshot::next).
-            let parent = self.snapshot.load_full();
-            let deltas = batch_deltas(commands, &outcomes);
-            let (snapshot, path) = PolicySnapshot::next(
-                &parent,
-                writer.backend.universe(),
-                writer.backend.policy(),
-                &deltas,
-                writer.epoch,
-                self.config.publish_mode,
-            );
-            match path {
-                PublishPath::Incremental => &self.publishes_incremental,
-                PublishPath::FullRebuild => &self.publishes_full,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            let snapshot = Arc::new(snapshot);
-            self.snapshot.store(Arc::clone(&snapshot));
-            if deltas.iter().any(|d| severs_activation(d.edge, d.added)) {
-                self.revalidate_sessions(&snapshot);
-            }
-            // Replication: notify the subscription hook while the writer
-            // lock is still held, so hooks observe epochs strictly in
-            // publication order with the exact deltas of each batch.
-            self.notify_publish(PublishEvent {
-                epoch: writer.epoch,
-                deltas,
-                checksum: snapshot.checksum(),
-            });
+        if !deltas.is_empty()
+            || child.universe().population_stamp() != parent.universe().population_stamp()
+        {
+            self.publish(child, path, deltas);
         }
         // Post-publish WAL maintenance: fold an overgrown log into a
         // fresh snapshot so reopen never replays unbounded history.
         // Best-effort — the batch is already durable either way, and a
         // later batch retries; failures are counted for operators.
-        if let Some(threshold) = self.config.autocompact_log_len {
-            if let Backend::Durable(store) = &mut writer.backend {
-                if store.log_len() >= threshold && store.compact().is_err() {
-                    self.autocompact_failures.fetch_add(1, Ordering::Relaxed);
-                }
+        if let (Some(threshold), Some(store)) =
+            (self.config.autocompact_log_len, writer.as_deref_mut())
+        {
+            if store.log_len() >= threshold && store.compact().is_err() {
+                self.autocompact_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
         (outcomes, error)
+    }
+
+    /// Publishes `snapshot` as the next epoch, revalidating sessions if a
+    /// delta severed an activation. Called with the writer lock held, so
+    /// the replication hook sees epochs in order with their exact deltas.
+    fn publish(&self, snapshot: PolicySnapshot, path: PublishPath, deltas: Vec<EdgeDelta>) {
+        match path {
+            PublishPath::Incremental => &self.publishes_incremental,
+            PublishPath::FullRebuild => &self.publishes_full,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        let snapshot = Arc::new(snapshot);
+        self.snapshot.store(Arc::clone(&snapshot));
+        if deltas.iter().any(|d| severs_activation(d.edge, d.added)) {
+            self.revalidate_sessions(&snapshot);
+        }
+        if let Some(hook) = self.publish_hook.read().as_ref() {
+            hook(&PublishEvent {
+                epoch: snapshot.epoch,
+                deltas,
+                checksum: snapshot.checksum(),
+            });
+        }
     }
 
     /// Drops every active session role whose `u →φ r` justification no
@@ -638,13 +566,6 @@ impl ReferenceMonitor {
         *self.publish_hook.write() = hook;
     }
 
-    fn notify_publish(&self, event: PublishEvent) {
-        let hook = self.publish_hook.read();
-        if let Some(hook) = hook.as_ref() {
-            hook(&event);
-        }
-    }
-
     /// Replica bootstrap: replaces this monitor's entire state with
     /// `(universe, policy, constraints)` at `epoch`, publishing a
     /// freshly built snapshot and revalidating live sessions against it.
@@ -659,22 +580,18 @@ impl ReferenceMonitor {
         epoch: u64,
         constraints: ConstraintSet,
     ) -> Result<u64, ReplicaApplyError> {
-        let mut writer = self.writer.lock();
-        if matches!(writer.backend, Backend::Durable(_)) {
+        let writer = self.writer.lock();
+        if writer.is_some() {
             return Err(ReplicaApplyError::DurableBackend);
         }
         self.constraints.store(Arc::new(constraints));
-        let snapshot = PolicySnapshot::build(universe.clone(), policy.clone(), epoch);
-        let checksum = snapshot.checksum();
-        writer.backend = Backend::Memory { universe, policy };
-        writer.epoch = epoch;
+        let snapshot = Arc::new(PolicySnapshot::build(universe, policy, epoch));
         self.publishes_full.fetch_add(1, Ordering::Relaxed);
-        let snapshot = Arc::new(snapshot);
         self.snapshot.store(Arc::clone(&snapshot));
         // A bootstrap can jump the state arbitrarily (it may *remove*
         // edges relative to the previous state), so always sweep.
         self.revalidate_sessions(&snapshot);
-        Ok(checksum)
+        Ok(snapshot.checksum())
     }
 
     /// Replica apply: advances this monitor's state by one replicated
@@ -693,49 +610,39 @@ impl ReferenceMonitor {
         deltas: &[EdgeDelta],
         expected_checksum: u64,
     ) -> Result<(), ReplicaApplyError> {
-        let mut writer = self.writer.lock();
-        let expected_epoch = writer.epoch + 1;
+        let writer = self.writer.lock();
+        let parent = self.snapshot.load_full();
+        let expected_epoch = parent.epoch + 1;
         if epoch != expected_epoch {
             return Err(ReplicaApplyError::EpochGap {
                 expected: expected_epoch,
                 got: epoch,
             });
         }
-        let Backend::Memory { universe, policy } = &mut writer.backend else {
+        if writer.is_some() {
             return Err(ReplicaApplyError::DurableBackend);
-        };
-        // Apply to a scratch clone (three Arc bumps; mutation copies only
-        // the touched relation) so refusals leave the live state intact.
-        let mut next_policy = policy.clone();
+        }
+        // Apply to a copy-on-write clone of the published policy, so
+        // refusals leave it intact.
+        let universe = parent.universe();
+        let mut policy = parent.policy().clone();
         for d in deltas {
-            let in_bounds = match d.edge {
-                Edge::UserRole(u, r) => {
-                    u.index() < universe.user_count() && r.index() < universe.role_count()
-                }
-                Edge::RoleRole(r, s) => {
-                    r.index() < universe.role_count() && s.index() < universe.role_count()
-                }
-                Edge::RolePriv(r, p) => {
-                    r.index() < universe.role_count() && p.index() < universe.term_count()
-                }
-            };
             // An id beyond this universe, or a toggle that didn't change
             // membership, means our state is not the frame's parent.
-            let changed = in_bounds
+            let changed = universe.edge_in_bounds(d.edge)
                 && if d.added {
-                    next_policy.add_edge(d.edge)
+                    policy.add_edge(d.edge)
                 } else {
-                    next_policy.remove_edge(d.edge)
+                    policy.remove_edge(d.edge)
                 };
             if !changed {
                 return Err(ReplicaApplyError::ForeignDelta { epoch });
             }
         }
-        let parent = self.snapshot.load_full();
         let (snapshot, path) = PolicySnapshot::next(
             &parent,
             universe,
-            &next_policy,
+            &policy,
             deltas,
             epoch,
             self.config.publish_mode,
@@ -747,25 +654,10 @@ impl ReferenceMonitor {
                 actual: snapshot.checksum(),
             });
         }
-        *policy = next_policy;
-        writer.epoch = epoch;
-        match path {
-            PublishPath::Incremental => &self.publishes_incremental,
-            PublishPath::FullRebuild => &self.publishes_full,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        let snapshot = Arc::new(snapshot);
-        self.snapshot.store(Arc::clone(&snapshot));
-        if deltas.iter().any(|d| severs_activation(d.edge, d.added)) {
-            self.revalidate_sessions(&snapshot);
-        }
-        // Forward the frame to any downstream subscribers (chained
-        // replication): the event is byte-identical to the primary's.
-        self.notify_publish(PublishEvent {
-            epoch,
-            deltas: deltas.to_vec(),
-            checksum: expected_checksum,
-        });
+        // Publishing also forwards the frame to any downstream
+        // subscribers (chained replication): the event is byte-identical
+        // to the primary's.
+        self.publish(snapshot, path, deltas.to_vec());
         Ok(())
     }
 
@@ -1026,13 +918,13 @@ impl ReferenceMonitor {
     /// normalized, WAL-persisted on durable backends (fsync before the
     /// live set changes), and mirrored lock-free for readers. Declaring
     /// constraints does **not** retroactively validate the current
-    /// state — only future batches are gated — but callers can run
-    /// [`evaluate_current_constraints`](Self::evaluate_current_constraints)
-    /// to audit the standing state.
+    /// state — only future batches are gated — but the findings of
+    /// [`analyze_batch`](Self::analyze_batch) on an empty batch audit the
+    /// standing state.
     pub fn set_constraints(&self, mut constraints: ConstraintSet) -> Result<(), MonitorError> {
         constraints.normalize();
         let mut writer = self.writer.lock();
-        if let Backend::Durable(store) = &mut writer.backend {
+        if let Some(store) = writer.as_deref_mut() {
             store.set_constraints(constraints.clone())?;
         }
         self.constraints.store(Arc::new(constraints));
@@ -1044,19 +936,9 @@ impl ReferenceMonitor {
         self.constraints.load_full()
     }
 
-    /// Evaluates the declared constraints against the *current*
-    /// published state (no batch): the findings a zero-command batch
-    /// would be judged by. Empty iff the standing state is clean.
-    pub fn evaluate_current_constraints(&self) -> Vec<adminref_core::lint::Finding> {
-        let constraints = self.constraints.load_full();
-        self.with_state(|universe, policy| {
-            admission::evaluate_constraints(universe, policy, &constraints, self.auth_mode())
-        })
-    }
-
     /// Admission gate activity so far: `(batches checked, refused)`.
-    /// Batches submitted while no constraints were declared (or with the
-    /// gate disabled) are not counted as checked.
+    /// Batches submitted while no constraints were declared are not
+    /// counted as checked.
     pub fn admission_counts(&self) -> (u64, u64) {
         (
             self.admission_checks.load(Ordering::Relaxed),
@@ -1070,43 +952,31 @@ impl ReferenceMonitor {
     /// findings, and the sessions a publish would force-deactivate.
     /// Lock-free against the write path; nothing is mutated.
     pub fn analyze_batch(&self, commands: &[Command]) -> ImpactReport {
-        let snapshot = self.read_snapshot();
+        let parent = self.read_snapshot();
         let constraints = self.constraints.load_full();
-        let mut impact = admission::analyze_batch(
-            snapshot.universe(),
-            snapshot.policy(),
-            commands,
-            &constraints,
-            self.auth_mode(),
-        );
+        let mode = self.auth_mode();
+        let staged = StagedBatch::stage(&parent, commands, mode, self.config.publish_mode);
+        let mut impact = staged.impact(&parent, &constraints, mode);
         // Which live sessions would the publish-time revalidation sweep
         // force-deactivate? Only severing deltas can strip an active
         // role's justification.
-        if impact
+        if staged
             .deltas
             .iter()
             .any(|d| severs_activation(d.edge, d.added))
         {
-            let mut cand_policy = snapshot.policy().clone();
-            for d in &impact.deltas {
-                if d.added {
-                    cand_policy.add_edge(d.edge);
-                } else {
-                    cand_policy.remove_edge(d.edge);
-                }
-            }
-            let cand_index =
-                adminref_core::reach::ReachIndex::build(snapshot.universe(), &cand_policy);
+            let reach = staged.child.reach();
             let sessions = self.sessions.read();
-            for (id, session) in sessions.iter() {
-                let user = session.user();
-                if session
-                    .active_roles()
-                    .any(|r| !cand_index.reach_entity(Entity::User(user), Entity::Role(r)))
-                {
-                    impact.severed_sessions.push(id.raw());
-                }
-            }
+            impact.severed_sessions = sessions
+                .iter()
+                .filter(|(_, session)| {
+                    let user = Entity::User(session.user());
+                    session
+                        .active_roles()
+                        .any(|r| !reach.reach_entity(user, Entity::Role(r)))
+                })
+                .map(|(id, _)| id.raw())
+                .collect();
             impact.severed_sessions.sort_unstable();
         }
         impact
@@ -1115,28 +985,20 @@ impl ReferenceMonitor {
     /// For durable monitors: folds the command log into a fresh snapshot.
     /// A no-op on in-memory monitors.
     pub fn compact(&self) -> Result<(), MonitorError> {
-        let mut writer = self.writer.lock();
-        match &mut writer.backend {
-            Backend::Memory { .. } => Ok(()),
-            Backend::Durable(store) => {
-                store.compact()?;
-                Ok(())
-            }
+        if let Some(store) = self.writer.lock().as_deref_mut() {
+            store.compact()?;
         }
+        Ok(())
     }
 
     /// For durable monitors: forces the log to stable storage. A no-op on
     /// in-memory monitors. Batches are already synced on publication;
     /// this remains for explicit flush points.
     pub fn sync(&self) -> Result<(), MonitorError> {
-        let mut writer = self.writer.lock();
-        match &mut writer.backend {
-            Backend::Memory { .. } => Ok(()),
-            Backend::Durable(store) => {
-                store.sync()?;
-                Ok(())
-            }
+        if let Some(store) = self.writer.lock().as_deref_mut() {
+            store.sync()?;
         }
+        Ok(())
     }
 }
 

@@ -13,13 +13,15 @@
 //!   `Compact` — are handed to the connection's worker pool, so a
 //!   single pipelined connection keeps several submissions in flight at
 //!   once and the [group-commit combiner](crate::group_commit) can
-//!   coalesce them into one batch. `Submit` frames that arrive
-//!   back-to-back (one burst of buffered input) are dispatched as one
-//!   unit and enter the combiner together via
-//!   [`PolicyService::call_many`] — without this, a round-trip
-//!   transport trickles them in one worker wake-up at a time and the
-//!   leader drains needlessly small groups. Responses are written as
-//!   they complete, matched by request id, possibly out of order.
+//!   coalesce them into one batch. A connection's `Submit`s enter the
+//!   combiner as one unit via [`PolicyService::call_many`], with at
+//!   most one such unit in flight: submits read while it commits wait
+//!   and go as the next unit when it completes, and otherwise pending
+//!   submits are dispatched as soon as the buffered input runs dry.
+//!   Without the coalescing, a round-trip transport trickles them in
+//!   one worker wake-up at a time and the leader drains needlessly
+//!   small groups. Responses are written as they complete, matched by
+//!   request id, possibly out of order.
 //! * **Per-connection sessions**: sessions created over a connection
 //!   are dropped when it closes, so a crashed client cannot leak live
 //!   sessions into the monitor.
@@ -45,6 +47,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -353,14 +356,14 @@ fn accept_loop(
 
 // ----- one connection --------------------------------------------------
 
-/// Whether a request is answered inline by the reader or handed to the
-/// worker pool. Session-lifecycle requests must stay inline: the reader
-/// owns the per-connection session set.
+/// Whether a request other than `Submit` (which is always handed over,
+/// coalesced) is answered inline by the reader or handed to the worker
+/// pool. Session-lifecycle requests must stay inline: the reader owns
+/// the per-connection session set.
 fn is_slow(request: &Request) -> bool {
     matches!(
         request,
-        Request::Submit { .. }
-            | Request::AnalyzeReach { .. }
+        Request::AnalyzeReach { .. }
             | Request::CheckRefinement { .. }
             | Request::Compact
             | Request::Analyze { .. }
@@ -396,11 +399,13 @@ fn handle_connection(
     // `Submit`s that must enter the combiner together.
     let (tx, rx) = mpsc::channel::<Vec<(u64, Request)>>();
     let rx = Arc::new(Mutex::new(rx));
+    let submits = Arc::new(Mutex::new(PendingSubmits::default()));
     let mut workers = Vec::with_capacity(config.workers_per_connection);
     for _ in 0..config.workers_per_connection.max(1) {
         let rx = Arc::clone(&rx);
         let service = Arc::clone(&service);
         let writer = Arc::clone(&writer);
+        let submits = Arc::clone(&submits);
         let spawned = thread::Builder::new()
             .name("adminrefd-worker".into())
             .spawn(move || loop {
@@ -408,6 +413,9 @@ fn handle_connection(
                 // idle workers queue up behind it, not behind a serve.
                 let msg = { rx.lock().recv() };
                 match msg {
+                    Ok(burst) if matches!(burst[0].1, Request::Submit { .. }) => {
+                        serve_submits(&*service, &writer, &submits, burst)
+                    }
                     Ok(burst) => serve_burst(&*service, &writer, burst),
                     Err(_) => break,
                 }
@@ -419,12 +427,16 @@ fn handle_connection(
 
     // Sessions created over this connection, dropped when it closes.
     let mut sessions: HashSet<u64> = HashSet::new();
-    // Slow requests of the burst currently being read, dispatched when
-    // the buffered input runs dry.
-    let mut burst: Vec<(u64, Request)> = Vec::new();
 
     loop {
         if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // The buffered input ran dry: dispatch the pending submits
+        // before blocking on the next read, whatever kind of frame came
+        // last — a `Submit` followed by inline requests in the same read
+        // must not wait for the connection's next slow request.
+        if reader.buffer().is_empty() && !dispatch_submits(&tx, &submits) {
             break;
         }
         let frame = match read_frame_polling(&mut reader, &stop) {
@@ -472,9 +484,14 @@ fn handle_connection(
                 continue;
             }
         };
+        if matches!(request, Request::Submit { .. }) {
+            submits.lock().queue.push((frame.request_id, request));
+            continue;
+        }
+        // Other slow requests each get their own worker, so an analysis
+        // does not serialize behind the writes.
         if is_slow(&request) {
-            burst.push((frame.request_id, request));
-            if reader.buffer().is_empty() && !dispatch_burst(&tx, &mut burst) {
+            if tx.send(vec![(frame.request_id, request)]).is_err() {
                 break;
             }
             continue;
@@ -493,10 +510,10 @@ fn handle_connection(
         send_result(&writer, frame.request_id, &result);
     }
 
-    // Drain: dispatch any still-accumulating burst, close the channel,
-    // let in-flight slow requests finish and answer, then drop this
+    // Drain: dispatch any still-pending submits, close the channel, let
+    // in-flight slow requests finish and answer, then drop this
     // connection's surviving sessions.
-    let _ = dispatch_burst(&tx, &mut burst);
+    let _ = dispatch_submits(&tx, &submits);
     drop(tx);
     for handle in workers {
         let _ = handle.join();
@@ -509,20 +526,50 @@ fn handle_connection(
     reader.get_ref().shutdown_both();
 }
 
-/// Hands an accumulated burst to the worker pool: `Submit`s go as one
-/// unit (same combiner drain), other slow requests each to their own
-/// worker so an analysis does not serialize behind the writes. Returns
-/// `false` when the pool is gone.
-fn dispatch_burst(tx: &mpsc::Sender<Vec<(u64, Request)>>, burst: &mut Vec<(u64, Request)>) -> bool {
-    let mut submits = Vec::new();
-    for entry in burst.drain(..) {
-        if matches!(entry.1, Request::Submit { .. }) {
-            submits.push(entry);
-        } else if tx.send(vec![entry]).is_err() {
-            return false;
-        }
+/// A connection's submits waiting for the combiner, and whether one of
+/// its submit units is in flight.
+#[derive(Default)]
+struct PendingSubmits {
+    queue: Vec<(u64, Request)>,
+    in_flight: bool,
+}
+
+/// Hands the pending `Submit`s to the worker pool as one unit (one
+/// combiner drain) unless a unit of them is already in flight — the
+/// worker serving that one takes them next. Returns `false` when the
+/// pool is gone.
+fn dispatch_submits(
+    tx: &mpsc::Sender<Vec<(u64, Request)>>,
+    submits: &Mutex<PendingSubmits>,
+) -> bool {
+    let mut pending = submits.lock();
+    if pending.in_flight || pending.queue.is_empty() {
+        return true;
     }
-    submits.is_empty() || tx.send(submits).is_ok()
+    pending.in_flight = true;
+    tx.send(std::mem::take(&mut pending.queue)).is_ok()
+}
+
+/// Serves a connection's in-flight submit unit, then every unit that
+/// accumulated meanwhile, and clears the in-flight mark once none is
+/// pending.
+fn serve_submits(
+    service: &dyn PolicyService,
+    writer: &ConnWriter,
+    submits: &Mutex<PendingSubmits>,
+    mut unit: Vec<(u64, Request)>,
+) {
+    loop {
+        // A panicking service must not leave the mark set, or the
+        // connection's later submits would never be dispatched.
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| serve_burst(service, writer, unit)));
+        let mut pending = submits.lock();
+        if pending.queue.is_empty() {
+            pending.in_flight = false;
+            return;
+        }
+        unit = std::mem::take(&mut pending.queue);
+    }
 }
 
 /// Serves one dispatch unit. Every id gets an answer even if a

@@ -24,8 +24,8 @@
 //! [`LockedMonitor`](adminref_monitor::LockedMonitor) by replaying the
 //! audit order.
 //!
-//! On a mid-group backend failure the store's log-before-apply
-//! discipline leaves exactly an applied prefix: requests fully inside
+//! On a mid-group backend failure the store installs exactly the
+//! records it logged, leaving an applied prefix: requests fully inside
 //! it succeed, the request straddling the failure gets
 //! [`ServiceError::Backend`] carrying its own applied outcomes, and
 //! requests after it get [`ServiceError::Aborted`] (not attempted, safe

@@ -11,10 +11,17 @@
 //! Definition-5 transition function, which is deterministic, so the
 //! recovered state is exactly the pre-crash state up to the last fully
 //! written record. `compact` folds the log into a fresh snapshot.
+//!
+//! Writes follow stage → log → install: a batch is staged once against
+//! the live state ([`simulate_batch`]), and [`PolicyStore::commit`]
+//! appends each already-decided record, syncs the log once, and then
+//! installs the staged post-batch state. The live state therefore never
+//! runs ahead of the log: if an append fails at command `k`, the store
+//! installs the state the `k` logged records replay to.
 
 use std::path::{Path, PathBuf};
 
-use adminref_core::admission::ConstraintSet;
+use adminref_core::admission::{simulate_batch, ConstraintSet};
 use adminref_core::command::Command;
 use adminref_core::policy::Policy;
 use adminref_core::transition::{step, AuthMode, StepOutcome};
@@ -126,68 +133,46 @@ impl PolicyStore {
         ))
     }
 
-    /// One command through the WAL discipline: authorize, **append the
-    /// decision to the log, then apply** the state change — so a failed
-    /// append never leaves the live policy ahead of the log.
-    fn execute_logged(&mut self, command: &Command) -> Result<StepOutcome, StoreError> {
-        let authorization = adminref_core::transition::authorize(
-            &mut self.universe,
-            &self.policy,
-            command,
-            self.auth_mode,
-        );
-        match self.fail_append_after {
-            Some(0) => {
-                self.fail_append_after = None;
-                return Err(StoreError::Io(std::io::Error::other(
-                    "injected append failure",
-                )));
-            }
-            Some(n) => self.fail_append_after = Some(n - 1),
-            None => {}
-        }
-        self.log.append(command, authorization.is_some())?;
-        let changed = authorization.is_some()
-            && adminref_core::transition::apply_edge(&mut self.policy, command);
-        Ok(StepOutcome {
-            authorization,
-            changed,
-        })
-    }
-
-    /// Executes a command against the live policy and logs it durably
-    /// (log-before-apply: on an append error the live state is
-    /// unchanged).
-    pub fn execute(&mut self, command: &Command) -> Result<StepOutcome, StoreError> {
-        self.execute_logged(command)
-    }
-
-    /// Executes a batch of commands, appending each to the log in order
-    /// and forcing the log to stable storage **once** at the end.
+    /// Logs and installs a batch staged against this store's live state:
+    /// `outcomes` are the decisions [`simulate_batch`] reached for
+    /// `commands`, and `(universe, policy)` the state they lead to. Each
+    /// record is appended in order, the log is forced to stable storage
+    /// **once**, and the staged state is installed, so the batch is
+    /// durable when the call returns.
     ///
-    /// This is the write path for batched monitors: per-command WAL
-    /// ordering is identical to calling [`execute`](Self::execute) in a
-    /// loop (recovery replays the same sequence), but the fsync cost is
-    /// amortized over the whole batch, and the batch is durable when the
-    /// call returns.
-    ///
-    /// Returns the outcomes of every command that executed plus the
-    /// first error, if any. On error the live state and log hold
-    /// exactly the commands whose outcomes were returned (the failing
-    /// command changed nothing), so callers can audit/publish the
-    /// applied prefix and surface the failure.
-    pub fn execute_batch<'a>(
+    /// Returns how many leading commands were logged and installed, plus
+    /// the first error, if any: after an append failure at command `k`
+    /// the live state is what the `k` logged records replay to (exactly
+    /// what recovery rebuilds); after a failed final sync every command
+    /// was installed, its durability in doubt.
+    pub fn commit(
         &mut self,
-        commands: impl IntoIterator<Item = &'a Command>,
-    ) -> (Vec<StepOutcome>, Result<(), StoreError>) {
-        let mut outcomes = Vec::new();
-        for command in commands {
-            match self.execute_logged(command) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(e) => return (outcomes, self.sync_after(Err(e))),
+        commands: &[Command],
+        outcomes: &[StepOutcome],
+        universe: &Universe,
+        policy: &Policy,
+    ) -> (usize, Result<(), StoreError>) {
+        for (k, (command, outcome)) in commands.iter().zip(outcomes).enumerate() {
+            let injected = self.fail_append_after == Some(0);
+            self.fail_append_after = self.fail_append_after.and_then(|n| n.checked_sub(1));
+            let appended = if injected {
+                Err(StoreError::Io(std::io::Error::other(
+                    "injected append failure",
+                )))
+            } else {
+                self.log.append(command, outcome.executed()).map(drop)
+            };
+            if let Err(e) = appended {
+                // Best-effort sync of the logged prefix; the append error wins.
+                let _ = self.log.sync();
+                let (universe, policy, _) =
+                    simulate_batch(&self.universe, &self.policy, &commands[..k], self.auth_mode);
+                self.universe = universe;
+                self.policy = policy;
+                return (k, Err(e));
             }
         }
-        let status = if outcomes.is_empty() {
+        let status = if commands.is_empty() {
             Ok(())
         } else if self.fail_next_sync {
             self.fail_next_sync = false;
@@ -197,14 +182,35 @@ impl PolicyStore {
         } else {
             self.log.sync()
         };
-        (outcomes, status)
+        // Installed even when the sync failed: the records are in the
+        // log, so a recovery that finds them replays to this state.
+        self.universe = universe.clone();
+        self.policy = policy.clone();
+        (commands.len(), status)
     }
 
-    /// Best-effort sync of the applied prefix after a mid-batch failure;
-    /// the original error wins over a subsequent sync error.
-    fn sync_after(&mut self, failure: Result<(), StoreError>) -> Result<(), StoreError> {
-        let _ = self.log.sync();
-        failure
+    /// Executes one command as a batch of one (see
+    /// [`execute_batch`](Self::execute_batch)).
+    pub fn execute(&mut self, command: &Command) -> Result<StepOutcome, StoreError> {
+        let (outcomes, status) = self.execute_batch([command]);
+        status?;
+        Ok(outcomes[0])
+    }
+
+    /// Executes a batch of commands: stages it against the live state and
+    /// [`commit`](Self::commit)s it, syncing the log **once**. Returns the
+    /// outcomes of the applied prefix (every command, unless an append
+    /// failed) plus the first error, if any.
+    pub fn execute_batch<'a>(
+        &mut self,
+        commands: impl IntoIterator<Item = &'a Command>,
+    ) -> (Vec<StepOutcome>, Result<(), StoreError>) {
+        let commands: Vec<Command> = commands.into_iter().copied().collect();
+        let (universe, policy, mut outcomes) =
+            simulate_batch(&self.universe, &self.policy, &commands, self.auth_mode);
+        let (logged, status) = self.commit(&commands, &outcomes, &universe, &policy);
+        outcomes.truncate(logged);
+        (outcomes, status)
     }
 
     /// Forces the log to stable storage.
@@ -214,17 +220,15 @@ impl PolicyStore {
 
     /// Failure-injection hook for crash/partial-batch tests: the append
     /// after `appends` more successful appends fails once with a
-    /// synthetic I/O error, exercising the log-before-apply discipline
-    /// and the applied-prefix semantics of
-    /// [`execute_batch`](Self::execute_batch) without real disk faults.
+    /// synthetic I/O error, exercising the applied-prefix semantics of
+    /// [`commit`](Self::commit) without real disk faults.
     /// Not intended for production use.
     pub fn inject_append_failure_after(&mut self, appends: u64) {
         self.fail_append_after = Some(appends);
     }
 
     /// Failure-injection hook for durability tests: the next
-    /// *batch-final* sync in [`execute_batch`](Self::execute_batch)
-    /// fails once with a synthetic I/O error after every command
+    /// *batch-final* sync in [`commit`](Self::commit) fails once with a synthetic I/O error after every command
     /// applied — the "executed but durability in doubt" case. Not
     /// intended for production use.
     pub fn inject_sync_failure(&mut self) {
@@ -264,12 +268,6 @@ impl PolicyStore {
     /// The live universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
-    }
-
-    /// Mutable access to the universe (interning new terms is append-only
-    /// and safe; the snapshot captures whatever exists at compaction).
-    pub fn universe_mut(&mut self) -> &mut Universe {
-        &mut self.universe
     }
 
     /// The live policy.

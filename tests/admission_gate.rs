@@ -9,6 +9,9 @@
 //!   statically evaluating the declared constraints against the
 //!   simulated candidate state yields findings — and a refusal leaves
 //!   epoch, audit log, WAL, and published policy untouched.
+//! * **Staged path vs references**: the publish the gate judged equals
+//!   a from-scratch build of the durable state, and the monitor's
+//!   staged `analyze_batch` equals the from-scratch one.
 //! * The **socket story**: over a real Unix socket, a SoD-violating
 //!   batch is refused with the typed `ServiceError::Admission` before
 //!   publication while clean batches keep applying.
@@ -197,8 +200,8 @@ proptest! {
 
     /// Gate ⇔ refusal: the monitor refuses exactly when the static
     /// evaluation of the constraints against the simulated candidate
-    /// state has findings, and a refusal mutates nothing — same epoch,
-    /// same audit length, same published policy.
+    /// state has findings, in both authorization modes and on both
+    /// backends (see [`check_gate`]).
     #[test]
     fn monitor_gate_matches_static_evaluation(
         spec in policy_spec(),
@@ -208,51 +211,228 @@ proptest! {
     ) {
         let (uni, policy, users, roles) = build(&spec);
         let targets = actionable_edges(&uni);
-        if targets.is_empty() {
-            // Nothing any command can touch; the gate is trivially
-            // clean and there is no batch to build.
-            return;
-        }
-        let commands: Vec<Command> = batch
-            .iter()
-            .map(|&(u, grant, t)| {
-                let edge = targets[t as usize % targets.len()];
-                let actor = users[u as usize];
-                if grant == 1 {
-                    Command::grant(actor, edge)
-                } else {
-                    Command::revoke(actor, edge)
-                }
-            })
-            .collect();
-        let monitor = ReferenceMonitor::new(uni.clone(), policy.clone(), MonitorConfig::default());
-        monitor
-            .set_constraints(ConstraintSet {
+        // With nothing any command can touch, the gate is trivially
+        // clean and there is no batch to build.
+        if !targets.is_empty() {
+            let commands = batch_commands(&batch, &users, &targets);
+            let constraints = ConstraintSet {
                 sod_pairs: vec![(roles[pair.0 as usize], roles[pair.1 as usize])],
                 deny_level: None,
                 frozen_edges: Vec::new(),
-            })
-            .expect("in-memory set_constraints");
-        let constraints = (*monitor.constraints()).clone();
-        let (cand_uni, cand_policy, _) =
-            simulate_batch(&uni, &policy, &commands, AuthMode::Explicit);
-        let expected =
-            evaluate_constraints(&cand_uni, &cand_policy, &constraints, AuthMode::Explicit);
-        let epoch_before = monitor.version();
-        let audit_before = monitor.audit_len();
-        match monitor.submit_batch(&commands) {
-            Ok(_) => prop_assert!(
-                expected.is_empty(),
-                "monitor published a batch the static gate finds dirty: {expected:?}"
-            ),
-            Err(MonitorError::Admission(report)) => {
-                prop_assert_eq!(&report.findings, &expected);
-                prop_assert_eq!(monitor.version(), epoch_before, "epoch moved on refusal");
-                prop_assert_eq!(monitor.audit_len(), audit_before, "audit grew on refusal");
-                let (_, live) = monitor.snapshot();
-                prop_assert_eq!(&live, &policy, "published policy changed on refusal");
+            };
+            for mode in [AuthMode::Explicit, AuthMode::Ordered(OrderingMode::Extended)] {
+                for durable in [false, true] {
+                    check_gate(&uni, &policy, &commands, &constraints, mode, durable);
+                }
             }
-            Err(other) => prop_assert!(false, "unexpected monitor error: {other}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The staged write path against its from-scratch references, over
+    /// a run of clean, refused and (through an injected append failure
+    /// at a random record) partially applied batches on a durable
+    /// monitor. After every batch the published snapshot equals a
+    /// from-scratch build of the reopened store's state, and before it
+    /// the monitor's `analyze_batch` equals `admission::analyze_batch`
+    /// on every field but the monitor-only `severed_sessions`.
+    #[test]
+    fn staged_publish_matches_rebuild_and_reference_analysis(
+        spec in policy_spec(),
+        pair in ((0u8..ROLES as u8), (0u8..ROLES as u8)),
+        ordered in 0u8..2,
+        fail_after in 0u64..16,
+        batches in prop::collection::vec(
+            prop::collection::vec(((0u8..USERS as u8 + 1), 0u8..2, 0u8..32), 1..5),
+            1..6),
+    ) {
+        let mode = if ordered == 1 {
+            AuthMode::Ordered(OrderingMode::Extended)
+        } else {
+            AuthMode::Explicit
+        };
+        check_staged_run(&spec, pair, mode, fail_after, &batches);
+    }
+}
+
+/// One run of [`staged_publish_matches_rebuild_and_reference_analysis`]:
+/// `batches` through a durable monitor whose store fails its append
+/// after `fail_after` successful ones.
+fn check_staged_run(
+    spec: &PolicySpec,
+    pair: (u8, u8),
+    mode: AuthMode,
+    fail_after: u64,
+    batches: &[Vec<(u8, u8, u8)>],
+) {
+    let (mut uni, mut policy, mut users, roles) = build(spec);
+    let targets = actionable_edges(&uni);
+    if targets.is_empty() {
+        return;
+    }
+    // An extra actor holding grant and revoke authority over every
+    // target, so batches actually change the state (and can create the
+    // conflicts the gate refuses) rather than being mostly refused.
+    let admin = uni.user("admin");
+    let admins = uni.role("admins");
+    policy.add_edge(Edge::UserRole(admin, admins));
+    for &edge in &targets {
+        for term in [uni.priv_grant(edge), uni.priv_revoke(edge)] {
+            policy.add_edge(Edge::RolePriv(admins, term));
+        }
+    }
+    users.push(admin);
+    let dir = TempDir::new("admission-staged").unwrap();
+    let mut store = PolicyStore::create(dir.path(), uni, policy, mode).unwrap();
+    store.inject_append_failure_after(fail_after);
+    let monitor = ReferenceMonitor::with_store(store, MonitorConfig::default());
+    monitor
+        .set_constraints(ConstraintSet {
+            sod_pairs: vec![(roles[pair.0 as usize], roles[pair.1 as usize])],
+            deny_level: None,
+            frozen_edges: Vec::new(),
+        })
+        .unwrap();
+    let constraints = (*monitor.constraints()).clone();
+    for batch in batches {
+        let commands = batch_commands(batch, &users, &targets);
+        let parent = monitor.read_snapshot();
+        let mut staged = monitor.analyze_batch(&commands);
+        staged.severed_sessions.clear();
+        let reference = analyze_batch(
+            parent.universe(),
+            parent.policy(),
+            &commands,
+            &constraints,
+            mode,
+        );
+        assert_eq!(staged, reference);
+        match monitor.submit_batch(&commands) {
+            Ok(_) | Err(MonitorError::Admission(_)) | Err(MonitorError::Store(_)) => {}
+            Err(other) => panic!("unexpected monitor error: {other}"),
+        }
+        let live = monitor.read_snapshot();
+        let (reopened, report) = PolicyStore::open(dir.path(), mode).unwrap();
+        assert_eq!(report.divergent, 0);
+        let rebuilt = PolicySnapshot::build(
+            reopened.universe().clone(),
+            reopened.policy().clone(),
+            live.epoch,
+        );
+        assert_same_snapshot(&live, &rebuilt);
+    }
+}
+
+/// Turns `(actor, grant?, target)` index triples into commands over the
+/// actionable edges.
+fn batch_commands(batch: &[(u8, u8, u8)], users: &[UserId], targets: &[Edge]) -> Vec<Command> {
+    batch
+        .iter()
+        .map(|&(u, grant, t)| {
+            let edge = targets[t as usize % targets.len()];
+            let actor = users[u as usize];
+            if grant == 1 {
+                Command::grant(actor, edge)
+            } else {
+                Command::revoke(actor, edge)
+            }
+        })
+        .collect()
+}
+
+/// One gate ⇔ refusal case: a monitor over `(uni, policy)` — in memory,
+/// or over a fresh durable store — under `mode` refuses `commands`
+/// exactly when [`evaluate_constraints`] finds violations in the
+/// simulated candidate. A refusal leaves everything as it was: epoch,
+/// audit length, published policy and checksum, the WAL's bytes, and
+/// the universe (ordered staging interns terms, and none may leak into
+/// the published state). A durable store reopened afterwards matches
+/// the live published state.
+fn check_gate(
+    uni: &Universe,
+    policy: &Policy,
+    commands: &[Command],
+    constraints: &ConstraintSet,
+    mode: AuthMode,
+    durable: bool,
+) {
+    let dir = TempDir::new("admission-gate").unwrap();
+    let config = MonitorConfig {
+        auth_mode: mode,
+        ..MonitorConfig::default()
+    };
+    let monitor = if durable {
+        let store = PolicyStore::create(dir.path(), uni.clone(), policy.clone(), mode).unwrap();
+        ReferenceMonitor::with_store(store, config)
+    } else {
+        ReferenceMonitor::new(uni.clone(), policy.clone(), config)
+    };
+    monitor
+        .set_constraints(constraints.clone())
+        .expect("set_constraints");
+    let constraints = (*monitor.constraints()).clone();
+    let (cand_uni, cand_policy, _) = simulate_batch(uni, policy, commands, mode);
+    let expected = evaluate_constraints(&cand_uni, &cand_policy, &constraints, mode);
+    let wal_bytes = || std::fs::read(dir.path().join("commands.log")).unwrap_or_default();
+    let wal_before = wal_bytes();
+    let before = monitor.read_snapshot();
+    let audit_before = monitor.audit_len();
+    match monitor.submit_batch(commands) {
+        Ok(_) => assert!(
+            expected.is_empty(),
+            "monitor published a batch the static gate finds dirty ({mode:?}): {expected:?}"
+        ),
+        Err(MonitorError::Admission(report)) => {
+            assert_eq!(report.findings, expected);
+            let after = monitor.read_snapshot();
+            assert_eq!(after.epoch, before.epoch, "epoch moved on refusal");
+            assert_eq!(monitor.audit_len(), audit_before, "audit grew on refusal");
+            assert_eq!(
+                after.policy(),
+                policy,
+                "published policy changed on refusal"
+            );
+            assert_eq!(after.checksum(), before.checksum());
+            assert_eq!(
+                after.universe().term_count(),
+                uni.term_count(),
+                "a refused batch leaked an interned term ({mode:?})"
+            );
+            assert_eq!(wal_bytes(), wal_before, "WAL changed on refusal");
+        }
+        Err(other) => panic!("unexpected monitor error: {other}"),
+    }
+    if durable {
+        let live = monitor.read_snapshot();
+        drop(monitor);
+        let (store, report) = PolicyStore::open(dir.path(), mode).unwrap();
+        assert_eq!(report.divergent, 0);
+        assert_eq!(policy_checksum(store.policy()), live.checksum());
+        assert_eq!(store.universe().term_count(), live.universe().term_count());
+    }
+}
+
+/// Two snapshots hold the same state and answer every reachability
+/// probe the same way.
+fn assert_same_snapshot(a: &PolicySnapshot, b: &PolicySnapshot) {
+    assert_eq!(a.policy(), b.policy());
+    assert_eq!(a.checksum(), b.checksum());
+    assert_eq!(
+        a.universe().population_stamp(),
+        b.universe().population_stamp()
+    );
+    let entities = a
+        .universe()
+        .users()
+        .map(Entity::User)
+        .chain(a.universe().roles().map(Entity::Role));
+    for e in entities {
+        assert_eq!(a.reach().roles_reachable(e), b.reach().roles_reachable(e));
+        for p in a.universe().priv_ids() {
+            assert_eq!(a.entity_reaches_priv(e, p), b.entity_reaches_priv(e, p));
         }
     }
 }

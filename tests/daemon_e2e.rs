@@ -12,8 +12,8 @@ use adminref_monitor::MonitorConfig;
 use adminref_service::protocol::RefinementDirection;
 use adminref_service::wire::{self, FrameKind};
 use adminref_service::{
-    Daemon, DaemonConfig, MonitorService, PolicyService, Request, ServiceError, WireClient,
-    WireListener,
+    Daemon, DaemonConfig, MonitorService, PolicyService, Request, Response, ServiceError,
+    WireClient, WireListener,
 };
 use adminref_store::TempDir;
 
@@ -273,6 +273,77 @@ fn framing_violations_close_with_an_id_zero_error() {
     let frame = wire::read_frame(&mut raw).expect("read").expect("frame");
     assert_eq!(frame.kind, FrameKind::Response);
     assert_eq!(frame.request_id, 43);
+    daemon.shutdown();
+}
+
+/// A `Submit` followed in the same read by an inline request: the
+/// daemon must dispatch the submit once its buffered input runs dry,
+/// not leave it waiting for the connection's next slow request. One
+/// `write` carries both frames and nothing is sent after it.
+#[cfg(unix)]
+#[test]
+fn submit_followed_by_inline_request_in_one_write_gets_both_replies() {
+    let dir = TempDir::new("daemon-stranded").unwrap();
+    let (daemon, path) = serve_unix(&dir);
+    let (mut universe, _, admin) = arena();
+    let subj = universe.find_user("subj0").unwrap();
+    let r0 = universe.find_role("r0").unwrap();
+    let use_obj0 = universe.perm("use", "obj0");
+    let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    // A stranded reply shows up as a read timeout, not a hung test.
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reply = |raw: &mut std::os::unix::net::UnixStream| {
+        let frame = wire::read_frame(raw)
+            .expect("reply arrives")
+            .expect("frame");
+        assert_eq!(frame.kind, FrameKind::Response, "{frame:?}");
+        (
+            frame.request_id,
+            wire::decode_response(&frame.payload).unwrap(),
+        )
+    };
+
+    let create = wire::encode_request(&Request::CreateSession { user: subj });
+    wire::write_frame(&mut raw, FrameKind::Request, 1, &create).unwrap();
+    let (_, Response::SessionCreated(session)) = reply(&mut raw) else {
+        panic!("expected a session");
+    };
+
+    let mut both = Vec::new();
+    let submit = Request::Submit {
+        commands: vec![Command::grant(admin, Edge::UserRole(subj, r0))],
+    };
+    wire::write_frame(
+        &mut both,
+        FrameKind::Request,
+        2,
+        &wire::encode_request(&submit),
+    )
+    .unwrap();
+    let check = Request::CheckAccess {
+        session,
+        perm: use_obj0,
+    };
+    wire::write_frame(
+        &mut both,
+        FrameKind::Request,
+        3,
+        &wire::encode_request(&check),
+    )
+    .unwrap();
+    raw.write_all(&both).expect("one write");
+
+    let mut replies: Vec<(u64, Response)> = vec![reply(&mut raw), reply(&mut raw)];
+    replies.sort_by_key(|(id, _)| *id);
+    match &replies[0] {
+        (2, Response::Outcomes(outcomes)) => assert!(outcomes[0].executed()),
+        other => panic!("expected the submit's outcomes, got {other:?}"),
+    }
+    assert!(
+        matches!(replies[1], (3, Response::Access(_))),
+        "{:?}",
+        replies[1]
+    );
     daemon.shutdown();
 }
 
